@@ -51,10 +51,11 @@ func (e *errWriter) Write(p []byte) (int, error) {
 }
 
 // parseITLB accepts "32" (FA), "16x2" (entries x assoc) and "1+32"
-// (two-level serial FA); empty means the paper's default iTLB.
+// (two-level serial FA); empty returns the zero config, which simulates the
+// paper's default iTLB.
 func parseITLB(s string) (tlb.Config, error) {
 	if s == "" {
-		return sim.DefaultITLB(), nil
+		return tlb.Config{}, nil
 	}
 	return tlb.ParseSpec(s)
 }

@@ -147,7 +147,9 @@ type Stats struct {
 	StaleUses       uint64 // correctness tripwire: CFR used for a wrong page
 }
 
-// State is a CFR checkpoint taken at a predicted branch.
+// State is a CFR checkpoint: taken at every predicted branch and restored
+// on a squash, and the engine's part of a post-warm-up snapshot. It
+// excludes the statistics.
 type State struct {
 	CFR          CFR
 	Pending      bool
@@ -656,38 +658,3 @@ func (e *Engine) Restore(s State) {
 // LookupAtPred reports whether the last OnCTIPredicted performed an eager
 // lookup (needed by the pipeline to feed OnCTIResolved's case D).
 func (e *Engine) TookLookupAtPred() bool { return e.lookupAtPred }
-
-// EngineState is a deep snapshot of the engine's own state — the CFR, the
-// software trigger and the statistics — taken with Snapshot and reinstated
-// with RestoreSnapshot. It is the warm-checkpoint counterpart of the
-// per-branch Checkpoint/Restore pair (which deliberately excludes stats and
-// is taken/restored on every predicted CTI). The iTLB, address space and
-// meter are owned by the caller and snapshotted separately.
-type EngineState struct {
-	CFR          CFR
-	Pending      bool
-	PendingCause Cause
-	LookupAtPred bool
-	Stats        Stats
-}
-
-// Snapshot captures the engine's complete internal state.
-func (e *Engine) Snapshot() EngineState {
-	return EngineState{
-		CFR:          e.cfr,
-		Pending:      e.pending,
-		PendingCause: e.pendingCause,
-		LookupAtPred: e.lookupAtPred,
-		Stats:        e.stats,
-	}
-}
-
-// RestoreSnapshot overwrites the engine's state from a Snapshot. The engine
-// must have been constructed with the same scheme/style/geometry.
-func (e *Engine) RestoreSnapshot(s EngineState) {
-	e.cfr = s.CFR
-	e.pending = s.Pending
-	e.pendingCause = s.PendingCause
-	e.lookupAtPred = s.LookupAtPred
-	e.stats = s.Stats
-}

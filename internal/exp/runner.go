@@ -135,9 +135,9 @@ func NewRunner(instructions, warmup uint64) *Runner {
 }
 
 // normalize applies the Runner's simulation length and canonicalizes every
-// defaulted field to its explicit value (store.Canonical), so that options
-// that differ only in how they spell the default share a memo slot — and a
-// disk entry — instead of re-simulating.
+// defaulted field to its explicit value (sim.Options.Canonical), so that
+// options that differ only in how they spell the default share a memo slot
+// — and a disk entry — instead of re-simulating.
 func (r *Runner) normalize(opt sim.Options) sim.Options {
 	if opt.Instructions == 0 {
 		opt.Instructions = r.Instructions
@@ -145,7 +145,7 @@ func (r *Runner) normalize(opt sim.Options) sim.Options {
 	if opt.Warmup == 0 {
 		opt.Warmup = r.Warmup
 	}
-	return store.Canonical(opt)
+	return opt.Canonical()
 }
 
 // Key returns the canonical store key opt resolves to under this Runner —
@@ -346,7 +346,6 @@ func (r *Runner) Prefetch(ctx context.Context, opts []sim.Options) error {
 	sim.Batch(ctx, jobs, sim.BatchOptions{
 		Workers: r.Workers,
 		Pool:    r.pool(),
-		Prewarm: true,
 		OnComplete: func(i int, res sim.Result, err error) {
 			if err == nil {
 				r.observeRun(res)
@@ -398,7 +397,6 @@ func (r *Runner) Batch(ctx context.Context, opts []sim.Options) ([]sim.Result, [
 		sim.Batch(ctx, jobs, sim.BatchOptions{
 			Workers: r.Workers,
 			Pool:    r.pool(),
-			Prewarm: true,
 			OnComplete: func(j int, res sim.Result, err error) {
 				if err == nil {
 					r.observeRun(res)

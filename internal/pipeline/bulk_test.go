@@ -241,7 +241,7 @@ func TestCheckpointForkDeterminism(t *testing.T) {
 			if !ok {
 				t.Fatal("executor source must be checkpointable")
 			}
-			est := orig.engine.Snapshot()
+			est := orig.engine.Checkpoint()
 			tst := orig.itlb.Snapshot()
 			vst := orig.space.Snapshot()
 
@@ -253,7 +253,7 @@ func TestCheckpointForkDeterminism(t *testing.T) {
 			if err := fork.itlb.Restore(tst); err != nil {
 				t.Fatal(err)
 			}
-			fork.engine.RestoreSnapshot(est)
+			fork.engine.Restore(est)
 			if err := fork.m.Restore(mst); err != nil {
 				t.Fatal(err)
 			}

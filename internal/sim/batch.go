@@ -19,16 +19,13 @@ type BatchOptions struct {
 	// goroutine-safe, but a slow callback stalls the pool.
 	OnComplete func(index int, res Result, err error)
 
-	// Pool, when non-nil, shares warm-up work across the batch: jobs with
-	// equal warm keys execute one warm-up and fork its snapshot (see
-	// WarmPool). Results are byte-identical with or without it.
+	// Pool, when non-nil, shares warm-up work across the batch: every
+	// distinct warm key is warmed up front over the same worker pool (see
+	// WarmPool.Prewarm), so workers are never serialized behind one
+	// single-flight warm-up owner when same-key jobs cluster together, and
+	// every job then forks its key's snapshot. Results are byte-identical
+	// with or without it.
 	Pool *WarmPool
-
-	// Prewarm, when set (and Pool is non-nil), warms every distinct warm key
-	// in the batch up front over the same worker pool before any simulation
-	// starts (see WarmPool.Prewarm), so workers are never serialized behind
-	// one single-flight warm-up owner when same-key jobs cluster together.
-	Prewarm bool
 }
 
 // Batch runs every job over a bounded worker pool and returns results and
@@ -40,7 +37,7 @@ type BatchOptions struct {
 func Batch(ctx context.Context, jobs []Options, opts BatchOptions) ([]Result, []error) {
 	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
-	if opts.Pool != nil && opts.Prewarm {
+	if opts.Pool != nil {
 		opts.Pool.Prewarm(ctx, jobs, opts.Workers)
 	}
 	runBatch(ctx, len(jobs), opts.Workers, func(i int) error {

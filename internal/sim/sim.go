@@ -79,7 +79,7 @@ type Options struct {
 	ITLB    tlb.Config
 
 	// Trace, when non-nil, makes a stored trace the workload; Profile is
-	// ignored (and normalized away by the store's canonicalization).
+	// ignored (and zeroed by Canonical).
 	Trace *TraceRef
 
 	// Instructions and Warmup default to the package constants when zero.
@@ -130,16 +130,57 @@ type Result struct {
 	Timing Timing      `json:"timing"`
 }
 
+// Canonical fills every defaulted field of o with its explicit value, so
+// that two spellings of the same simulation — zero vs. 4096-byte pages, an
+// empty vs. the explicit Table 1 iTLB, a nil vs. the explicit default
+// pipeline or technology point — become one configuration. It is the only
+// place the simulation defaults are resolved: building, validation, the
+// warm key and the result store's key all start from it. The input is not
+// mutated (the pipeline override is copied).
+func (o Options) Canonical() Options {
+	if o.Instructions == 0 {
+		o.Instructions = DefaultInstructions
+	}
+	if o.Warmup == 0 {
+		o.Warmup = DefaultWarmup
+	}
+	if len(o.ITLB.Levels) == 0 {
+		o.ITLB = DefaultITLB()
+	}
+	if o.PageBytes == 0 {
+		o.PageBytes = addr.DefaultGeometry.PageBytes()
+	}
+	pcfg := DefaultPipeline()
+	if o.Pipeline != nil {
+		pcfg = *o.Pipeline
+	}
+	// The simulated iL1 always takes Options.Style, so two configs
+	// differing only in the pipeline's own iL1 style are the same
+	// simulation.
+	pcfg.IL1Style = o.Style
+	o.Pipeline = &pcfg
+	if o.Tech == nil {
+		t := energy.DefaultTech
+		o.Tech = &t
+	}
+	if o.Trace != nil {
+		// A trace IS the workload: its content address alone identifies it.
+		// Whatever profile a caller left set cannot perturb any key, and
+		// every alias of one trace shares one cached result.
+		o.Profile = workload.Profile{}
+	}
+	return o
+}
+
 // Validate checks the options without running anything: page geometry,
-// workload profile, scheme/style, the iTLB configuration (defaulted when
-// empty) and any pipeline override. Run performs exactly these checks; the
-// result store and the HTTP API validate through the same path so a
-// configuration is rejected identically everywhere.
+// workload profile, scheme/style, the iTLB configuration and the pipeline,
+// all after Canonical. Run performs exactly these checks; the result store
+// and the HTTP API validate through the same path so a configuration is
+// rejected identically everywhere.
 func (o Options) Validate() error {
-	if o.PageBytes != 0 {
-		if _, err := addr.NewGeometry(o.PageBytes); err != nil {
-			return err
-		}
+	o = o.Canonical()
+	if _, err := addr.NewGeometry(o.PageBytes); err != nil {
+		return err
 	}
 	if o.Trace != nil {
 		if o.Trace.Key == "" {
@@ -154,19 +195,10 @@ func (o Options) Validate() error {
 	if !o.Style.Known() {
 		return fmt.Errorf("sim: unknown style %d", int(o.Style))
 	}
-	itlbCfg := o.ITLB
-	if len(itlbCfg.Levels) == 0 {
-		itlbCfg = DefaultITLB()
-	}
-	if err := itlbCfg.Validate(); err != nil {
+	if err := o.ITLB.Validate(); err != nil {
 		return fmt.Errorf("sim: iTLB config: %w", err)
 	}
-	if o.Pipeline != nil {
-		if err := o.Pipeline.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return o.Pipeline.Validate()
 }
 
 // BenchName returns the workload identity results carry: the profile name,
@@ -201,21 +233,11 @@ type built struct {
 func build(opt Options) (*built, error) {
 	setupStart := time.Now()
 
+	opt = opt.Canonical()
 	b := &built{n: opt.Instructions, warm: opt.Warmup}
-	if b.n == 0 {
-		b.n = DefaultInstructions
-	}
-	if opt.Warmup == 0 {
-		b.warm = DefaultWarmup
-	}
-
-	geom := addr.DefaultGeometry
-	if opt.PageBytes != 0 {
-		g, err := addr.NewGeometry(opt.PageBytes)
-		if err != nil {
-			return nil, err
-		}
-		geom = g
+	geom, err := addr.NewGeometry(opt.PageBytes)
+	if err != nil {
+		return nil, err
 	}
 
 	// The workload is either a generated synthetic image walked by the
@@ -251,28 +273,13 @@ func build(opt Options) (*built, error) {
 		src = program.NewExecutor(compiled, opt.Profile.Seed^0xC0FFEE, opt.Profile.DataStreams())
 	}
 
-	itlbCfg := opt.ITLB
-	if len(itlbCfg.Levels) == 0 {
-		itlbCfg = DefaultITLB()
-	}
-	tech := energy.DefaultTech
-	if opt.Tech != nil {
-		tech = *opt.Tech
-	}
-
 	b.space = vm.New(geom, 1)
-	b.itlb = tlb.New(itlbCfg)
-	b.meter = energy.NewMeter(energy.NewModel(tech), itlbCfg.EntriesPerLevel(), itlbCfg.AssocPerLevel())
+	b.itlb = tlb.New(opt.ITLB)
+	b.meter = energy.NewMeter(energy.NewModel(*opt.Tech), opt.ITLB.EntriesPerLevel(), opt.ITLB.AssocPerLevel())
 	b.itlb.AttachMeter(b.meter)
 	b.engine = core.NewEngine(opt.Scheme, opt.Style, geom, b.itlb, b.space, b.meter)
 
-	pcfg := DefaultPipeline()
-	if opt.Pipeline != nil {
-		pcfg = *opt.Pipeline
-	}
-	pcfg.IL1Style = opt.Style
-
-	m, err := pipeline.New(pcfg, compiled, src, b.engine, b.space)
+	m, err := pipeline.New(*opt.Pipeline, compiled, src, b.engine, b.space)
 	if err != nil {
 		if b.closer != nil {
 			b.closer.Close()
@@ -304,7 +311,7 @@ func (b *built) checkpoint() *warmState {
 	}
 	return &warmState{
 		machine: mst,
-		engine:  b.engine.Snapshot(),
+		engine:  b.engine.Checkpoint(),
 		itlb:    b.itlb.Snapshot(),
 		space:   b.space.Snapshot(),
 	}
@@ -317,7 +324,7 @@ func (b *built) restore(ws *warmState) error {
 	if err := b.itlb.Restore(ws.itlb); err != nil {
 		return fmt.Errorf("sim: iTLB: %w", err)
 	}
-	b.engine.RestoreSnapshot(ws.engine)
+	b.engine.Restore(ws.engine)
 	return b.machine.Restore(ws.machine)
 }
 
@@ -342,18 +349,16 @@ func RunWith(opt Options, pool *WarmPool) (Result, error) {
 	}
 
 	timing := Timing{SetupSeconds: b.setup}
-	if b.warm > 0 {
-		warmStart := time.Now()
-		if pool != nil {
-			err = pool.warmup(opt, b)
-		} else {
-			b.runWarm()
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		timing.WarmupSeconds = time.Since(warmStart).Seconds()
+	warmStart := time.Now()
+	if pool != nil {
+		err = pool.warmup(opt, b)
+	} else {
+		b.runWarm()
 	}
+	if err != nil {
+		return Result{}, err
+	}
+	timing.WarmupSeconds = time.Since(warmStart).Seconds()
 	res := b.machine.Run(b.n)
 	timing.MeasureSeconds = res.WallSeconds
 	timing.InstPerSec = res.InstPerSec()

@@ -6,14 +6,10 @@ import (
 	"fmt"
 	"sync"
 
-	"itlbcfr/internal/addr"
-	"itlbcfr/internal/cache"
 	"itlbcfr/internal/core"
-	"itlbcfr/internal/energy"
 	"itlbcfr/internal/pipeline"
 	"itlbcfr/internal/tlb"
 	"itlbcfr/internal/vm"
-	"itlbcfr/internal/workload"
 )
 
 // warmState is one pooled post-warm-up snapshot: the machine (clocks,
@@ -21,65 +17,31 @@ import (
 // the address space — everything RunWith needs to restart a fresh build at
 // the measured window. Every component snapshot is copy-on-restore, so one
 // warmState safely seeds any number of concurrent simulations. The energy
-// meter is deliberately absent: it is zero at the warm-up boundary.
+// meter is deliberately absent: it is zero at the warm-up boundary. The
+// engine's core.State likewise omits its statistics, which are zero on both
+// sides of a fork: runWarm resets them before the checkpoint, and the fork
+// target is a fresh build.
 type warmState struct {
 	machine *pipeline.MachineState
-	engine  core.EngineState
+	engine  core.State
 	itlb    *tlb.State
 	space   *vm.State
 }
 
-// warmKey is the identity of a warm-up: every Options field that can
-// influence the first Warmup instructions, with defaults resolved so
-// spellings of the same configuration share a slot. Instructions is
-// excluded because the measured length only matters after the boundary;
-// Tech is excluded because the energy technology scales reported joules
-// without touching a single architectural decision (and the meter is reset
-// at the boundary anyway). This key is deliberately finer than "benchmark ×
-// warm-up length": the scheme, style, iTLB, page size and pipeline all
-// shape cache/TLB/CFR contents during warm-up, so two runs differing in any
-// of them must not share state.
-type warmKey struct {
-	Profile   workload.Profile `json:"profile"`
-	TraceKey  string           `json:"trace,omitempty"`
-	Scheme    core.Scheme      `json:"scheme"`
-	Style     cache.Style      `json:"style"`
-	ITLB      tlb.Config       `json:"itlb"`
-	Warmup    uint64           `json:"warmup"`
-	PageBytes uint64           `json:"page_bytes"`
-	Pipeline  pipeline.Config  `json:"pipeline"`
-	Tech      *energy.Tech     `json:"-"` // documented exclusion, never set
-}
-
-// keyOf renders opt's warm identity as a canonical string.
+// keyOf renders opt's warm identity: the JSON encoding of opt.Canonical()
+// with two deliberate exclusions. Instructions is zeroed because the
+// measured length only matters after the warm-up boundary; Tech is zeroed
+// because the energy technology scales reported joules without touching a
+// single architectural decision (and the meter is reset at the boundary
+// anyway). Every other field — and any field added to Options later — is
+// part of the key: scheme, style, iTLB, page size and pipeline all shape
+// cache/TLB/CFR contents during warm-up, so two runs differing in any of
+// them must not share state.
 func keyOf(opt Options) string {
-	k := warmKey{
-		Profile:   opt.Profile,
-		Scheme:    opt.Scheme,
-		Style:     opt.Style,
-		ITLB:      opt.ITLB,
-		Warmup:    opt.Warmup,
-		PageBytes: opt.PageBytes,
-	}
-	if opt.Trace != nil {
-		k.TraceKey = opt.Trace.Key
-		k.Profile = workload.Profile{} // ignored under a trace workload
-	}
-	if len(k.ITLB.Levels) == 0 {
-		k.ITLB = DefaultITLB()
-	}
-	if k.Warmup == 0 {
-		k.Warmup = DefaultWarmup
-	}
-	if k.PageBytes == 0 {
-		k.PageBytes = addr.DefaultGeometry.PageBytes()
-	}
-	k.Pipeline = DefaultPipeline()
-	if opt.Pipeline != nil {
-		k.Pipeline = *opt.Pipeline
-	}
-	k.Pipeline.IL1Style = opt.Style
-	buf, err := json.Marshal(k)
+	c := opt.Canonical()
+	c.Instructions = 0
+	c.Tech = nil
+	buf, err := json.Marshal(c)
 	if err != nil {
 		panic(fmt.Sprintf("sim: warm key not marshalable: %v", err))
 	}

@@ -3,10 +3,13 @@ package sim
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
+	"itlbcfr/internal/cache"
 	"itlbcfr/internal/core"
 	"itlbcfr/internal/energy"
+	"itlbcfr/internal/tlb"
 	"itlbcfr/internal/workload"
 )
 
@@ -113,6 +116,58 @@ func TestWarmKeySharing(t *testing.T) {
 	}
 }
 
+// TestWarmKeyCoversEveryOption makes "the warm key holds every option that
+// shapes warm-up" structural. Every Options field must be listed here with a
+// perturbation; perturbing it must move the warm key, except for the two
+// deliberate exclusions, Instructions and Tech, which must not. A field
+// added to Options without an entry fails the test until it is classified.
+func TestWarmKeyCoversEveryOption(t *testing.T) {
+	perturb := map[string]func(*Options){
+		"Profile":      func(o *Options) { o.Profile.Seed++ },
+		"Scheme":       func(o *Options) { o.Scheme = core.HoA },
+		"Style":        func(o *Options) { o.Style = cache.PIPT },
+		"ITLB":         func(o *Options) { o.ITLB = tlb.Mono(64, 64) },
+		"Trace":        func(o *Options) { o.Trace = &TraceRef{Key: "t1-abc"} },
+		"Instructions": func(o *Options) { o.Instructions++ },
+		"Warmup":       func(o *Options) { o.Warmup++ },
+		"PageBytes":    func(o *Options) { o.PageBytes = 8192 },
+		"Pipeline": func(o *Options) {
+			p := DefaultPipeline()
+			p.FetchWidth = 8
+			o.Pipeline = &p
+		},
+		"Tech": func(o *Options) { o.Tech = &energy.Tech{FeatureNm: 70} },
+	}
+	excluded := map[string]bool{"Instructions": true, "Tech": true}
+
+	base := warmTestOptions(t, core.IA)
+	want := keyOf(base)
+	fields := reflect.VisibleFields(reflect.TypeOf(Options{}))
+	for _, f := range fields {
+		mutate, ok := perturb[f.Name]
+		if !ok {
+			t.Errorf("Options.%s has no perturbation: list it here as part of the warm key or as a deliberate exclusion", f.Name)
+			continue
+		}
+		o := base
+		mutate(&o)
+		if reflect.DeepEqual(o, base) {
+			t.Errorf("the perturbation listed for Options.%s does not change it", f.Name)
+			continue
+		}
+		if moved := keyOf(o) != want; moved == excluded[f.Name] {
+			if moved {
+				t.Errorf("perturbing Options.%s moved the warm key; it is a deliberate exclusion", f.Name)
+			} else {
+				t.Errorf("perturbing Options.%s left the warm key unchanged; runs differing in it would share a warm-up", f.Name)
+			}
+		}
+	}
+	if len(perturb) != len(fields) {
+		t.Errorf("%d perturbations listed for %d Options fields; drop the stale entries", len(perturb), len(fields))
+	}
+}
+
 // TestWarmTechForkScalesEnergyOnly checks the documented reason Tech is
 // outside the warm key: two runs differing only in technology point must
 // agree on every architectural number and differ only in joules.
@@ -143,9 +198,10 @@ func TestWarmTechForkScalesEnergyOnly(t *testing.T) {
 	}
 }
 
-// TestBatchSharesPool checks the Batch integration: jobs with one warm key
-// run one warm-up between them, concurrently, and still match the
-// unpooled results.
+// TestBatchSharesPool checks single-flight claiming under concurrency: runs
+// with one warm key started together on one pool execute one warm-up between
+// them — the others block on its publication and fork it — and still match
+// the unpooled results.
 func TestBatchSharesPool(t *testing.T) {
 	base := warmTestOptions(t, core.IA)
 	jobs := make([]Options, 4)
@@ -154,7 +210,17 @@ func TestBatchSharesPool(t *testing.T) {
 		jobs[i].Instructions = uint64(10_000 + 2_000*i)
 	}
 	pool := NewWarmPool()
-	pooled, errsP := Batch(context.Background(), jobs, BatchOptions{Workers: 4, Pool: pool})
+	pooled := make([]Result, len(jobs))
+	errsP := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pooled[i], errsP[i] = RunWith(jobs[i], pool)
+		}()
+	}
+	wg.Wait()
 	plain, errs := Batch(context.Background(), jobs, BatchOptions{Workers: 4})
 	for i := range jobs {
 		if errsP[i] != nil || errs[i] != nil {
@@ -167,10 +233,10 @@ func TestBatchSharesPool(t *testing.T) {
 	}
 	st := pool.Stats()
 	if st.Warmups != 1 {
-		t.Errorf("batch ran %d warm-ups for one warm key, want 1 (%+v)", st.Warmups, st)
+		t.Errorf("concurrent runs ran %d warm-ups for one warm key, want 1 (%+v)", st.Warmups, st)
 	}
 	if st.Hits != uint64(len(jobs))-1 {
-		t.Errorf("batch forked %d times, want %d (%+v)", st.Hits, len(jobs)-1, st)
+		t.Errorf("concurrent runs forked %d times, want %d (%+v)", st.Hits, len(jobs)-1, st)
 	}
 }
 
@@ -196,7 +262,7 @@ func TestPrewarmWarmsEachKeyOnce(t *testing.T) {
 	}
 
 	pooled, errsP := Batch(context.Background(), jobs,
-		BatchOptions{Workers: 4, Pool: pool, Prewarm: true})
+		BatchOptions{Workers: 4, Pool: pool})
 	plain, errs := Batch(context.Background(), jobs, BatchOptions{Workers: 4})
 	for i := range jobs {
 		if errsP[i] != nil || errs[i] != nil {

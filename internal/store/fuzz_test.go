@@ -13,10 +13,11 @@ import (
 )
 
 // FuzzCanonicalKey pins the content-addressing contract the memo, the disk
-// store and the HTTP API all depend on: Canonical is idempotent and does not
-// mutate its input, and Key is deterministic and identical across every
-// spelling of the same configuration (zero vs explicit defaults, including
-// the pipeline's iL1 style which sim.Run overwrites from Options.Style).
+// store and the HTTP API all depend on: sim.Options.Canonical is idempotent
+// and does not mutate its input, and Key is deterministic and identical
+// across every spelling of the same configuration (zero vs explicit
+// defaults, including the pipeline's iL1 style which sim.Run overwrites
+// from Options.Style).
 func FuzzCanonicalKey(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), uint64(0), uint64(0), false, false, false)
 	f.Add(uint8(5), uint8(5), uint8(2), uint8(0), uint64(250_000), uint64(50_000), true, true, true)
@@ -54,11 +55,11 @@ func FuzzCanonicalKey(f *testing.F) {
 			pipeBefore = &snap
 		}
 
-		c1 := Canonical(opt)
+		c1 := opt.Canonical()
 		if pipeBefore != nil && !reflect.DeepEqual(*opt.Pipeline, *pipeBefore.Pipeline) {
 			t.Fatalf("Canonical mutated the caller's pipeline: %+v", *opt.Pipeline)
 		}
-		c2 := Canonical(c1)
+		c2 := c1.Canonical()
 		if !reflect.DeepEqual(c1, c2) {
 			t.Fatalf("Canonical not idempotent:\n first %+v\nsecond %+v", c1, c2)
 		}

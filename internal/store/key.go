@@ -18,45 +18,10 @@ import (
 // entries are rejected by the version check, never misread.
 const SchemaVersion = 1
 
-// Canonical fills every defaulted field of opt with its explicit value, so
-// that two spellings of the same simulation — zero vs. 4096-byte pages, an
-// empty vs. the explicit Table 1 iTLB, a nil vs. the explicit default
-// pipeline or technology point — share one key. This is the single
-// canonicalization the in-memory memo, the disk store and the HTTP API all
-// agree on. The input is not mutated (the pipeline override is copied).
-func Canonical(opt sim.Options) sim.Options {
-	if opt.Instructions == 0 {
-		opt.Instructions = sim.DefaultInstructions
-	}
-	if opt.Warmup == 0 {
-		opt.Warmup = sim.DefaultWarmup
-	}
-	if len(opt.ITLB.Levels) == 0 {
-		opt.ITLB = sim.DefaultITLB()
-	}
-	if opt.PageBytes == 0 {
-		opt.PageBytes = 4096
-	}
-	pcfg := sim.DefaultPipeline()
-	if opt.Pipeline != nil {
-		pcfg = *opt.Pipeline
-	}
-	// sim.Run overwrites the pipeline's iL1 style with opt.Style, so two
-	// configs differing only there are the same simulation.
-	pcfg.IL1Style = opt.Style
-	opt.Pipeline = &pcfg
-	if opt.Tech == nil {
-		t := energy.DefaultTech
-		opt.Tech = &t
-	}
-	if opt.Trace != nil {
-		// A trace IS the workload: its content address alone identifies it.
-		// Whatever profile a caller left set cannot perturb the key, and
-		// every alias of one trace shares one cached result.
-		opt.Profile = workload.Profile{}
-	}
-	return opt
-}
+// Canonical is sim.Options.Canonical, which owns the simulation defaults.
+// It remains because the benchmark module (perfbench) canonicalizes its
+// cells through this name.
+func Canonical(opt sim.Options) sim.Options { return opt.Canonical() }
 
 // keyConfig is the canonical encoding of a full simulation configuration.
 // Every field that sim.Run reads appears here explicitly; encoding/json
@@ -82,9 +47,10 @@ type keyConfig struct {
 
 // Key returns the content address of a simulation configuration: a
 // schema-versioned SHA-256 over the canonical encoding. Equal configurations
-// (after Canonical) map to equal keys; the key is filesystem- and URL-safe.
+// (after sim.Options.Canonical) map to equal keys; the key is filesystem-
+// and URL-safe.
 func Key(opt sim.Options) string {
-	opt = Canonical(opt)
+	opt = opt.Canonical()
 	traceKey := ""
 	if opt.Trace != nil {
 		traceKey = opt.Trace.Key

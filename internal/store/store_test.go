@@ -87,6 +87,26 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestKeyPinned pins the key bytes of two configurations to the values the
+// store has always produced, so entries already on disk stay reachable: a
+// change to the canonical encoding must fail here rather than silently
+// orphan every cache.
+func TestKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		opt  sim.Options
+		want string
+	}{
+		{sim.Options{Profile: workload.Mesa(), Scheme: core.IA, Style: cache.VIPT},
+			"s1-d361fb386d09f14197ed0d745495c00366b00494101d1fd154a5851d192be3ca"},
+		{sim.Options{Scheme: core.SoLA, Style: cache.VIVT, Trace: &sim.TraceRef{Key: "t1-abc"}},
+			"s1-85b0e409a05dcddd88f55ca3128f5ed06f8de6a8398546fdd644985e20315ce3"},
+	} {
+		if got := Key(c.opt); got != c.want {
+			t.Errorf("Key(%s/%s/%s) = %s, want %s", c.opt.BenchName(), c.opt.Scheme, c.opt.Style, got, c.want)
+		}
+	}
+}
+
 // TestCanonicalDoesNotMutate: the caller's pipeline override must not be
 // written through.
 func TestCanonicalDoesNotMutate(t *testing.T) {
@@ -95,7 +115,7 @@ func TestCanonicalDoesNotMutate(t *testing.T) {
 	o := baseOpt()
 	o.Style = cache.PIPT
 	o.Pipeline = &p
-	Canonical(o)
+	o.Canonical()
 	if p.IL1Style != cache.VIPT {
 		t.Error("Canonical mutated the caller's pipeline config")
 	}
