@@ -12,6 +12,7 @@ package bpred
 
 import (
 	"fmt"
+	"unsafe"
 
 	"itlbcfr/internal/addr"
 	"itlbcfr/internal/isa"
@@ -263,9 +264,13 @@ func (p *Predictor) Resolve(pc addr.VAddr, kind isa.Kind, pred Prediction, taken
 // State is a deep snapshot of a predictor's contents and statistics, taken
 // with Snapshot and reinstated with Restore. It shares no memory with the
 // predictor it came from, so one snapshot can seed many predictors
-// concurrently.
+// concurrently. The BTB is stored sparsely — only its non-zero entries, with
+// their indices — and Restore zeroes the BTB before scattering them back,
+// which is exact because every entry left out was zero in the source.
 type State struct {
 	bimodal []uint8
+	btbLen  int      // BTB size of the source predictor, for the geometry check
+	btbIdx  []uint32 // index of each stored BTB entry
 	btb     []btbEntry
 	ras     []addr.VAddr
 	rasTop  int
@@ -277,33 +282,57 @@ type State struct {
 // Snapshot captures the predictor's full state: the bimodal counters, the
 // BTB (entries and LRU), the return-address stack and the statistics.
 func (p *Predictor) Snapshot() *State {
-	return &State{
+	n := 0
+	for i := range p.btb {
+		if p.btb[i] != (btbEntry{}) {
+			n++
+		}
+	}
+	s := &State{
 		bimodal: append([]uint8(nil), p.bimodal...),
-		btb:     append([]btbEntry(nil), p.btb...),
+		btbLen:  len(p.btb),
+		btbIdx:  make([]uint32, 0, n),
+		btb:     make([]btbEntry, 0, n),
 		ras:     append([]addr.VAddr(nil), p.ras...),
 		rasTop:  p.rasTop,
 		rasLive: p.rasLive,
 		tick:    p.tick,
 		stats:   p.stats,
 	}
+	for i, e := range p.btb {
+		if e != (btbEntry{}) {
+			s.btbIdx = append(s.btbIdx, uint32(i))
+			s.btb = append(s.btb, e)
+		}
+	}
+	return s
 }
 
 // Restore overwrites the predictor's state from a snapshot. The snapshot
 // must come from an identically configured predictor; the state is copied,
 // never aliased.
 func (p *Predictor) Restore(s *State) error {
-	if len(s.bimodal) != len(p.bimodal) || len(s.btb) != len(p.btb) || len(s.ras) != len(p.ras) {
+	if len(s.bimodal) != len(p.bimodal) || s.btbLen != len(p.btb) || len(s.ras) != len(p.ras) {
 		return fmt.Errorf("bpred: snapshot geometry mismatch (bimodal %d/%d, btb %d/%d, ras %d/%d)",
-			len(s.bimodal), len(p.bimodal), len(s.btb), len(p.btb), len(s.ras), len(p.ras))
+			len(s.bimodal), len(p.bimodal), s.btbLen, len(p.btb), len(s.ras), len(p.ras))
 	}
 	copy(p.bimodal, s.bimodal)
-	copy(p.btb, s.btb)
+	clear(p.btb)
+	for k, i := range s.btbIdx {
+		p.btb[i] = s.btb[k]
+	}
 	copy(p.ras, s.ras)
 	p.rasTop = s.rasTop
 	p.rasLive = s.rasLive
 	p.tick = s.tick
 	p.stats = s.stats
 	return nil
+}
+
+// Bytes is the snapshot's approximate resident size.
+func (s *State) Bytes() int {
+	return int(unsafe.Sizeof(*s)) + cap(s.bimodal) + 4*cap(s.btbIdx) +
+		int(unsafe.Sizeof(btbEntry{}))*cap(s.btb) + 8*cap(s.ras)
 }
 
 // Stats returns a copy of the accumulated statistics.

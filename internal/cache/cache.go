@@ -11,6 +11,7 @@ package cache
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // Style enumerates iL1 lookup disciplines (§2).
@@ -324,7 +325,15 @@ func (c *Cache) Flush() int {
 // State is a deep snapshot of a cache's contents and statistics, taken with
 // Snapshot and reinstated with Restore. It shares no memory with the cache
 // it came from, so one snapshot can seed many caches concurrently.
+//
+// The encoding is sparse: only lines whose tag or LRU word is non-zero are
+// stored, as (index, tag, lru) triples in parallel slices. A warmed-up L2 is
+// a few percent occupied, so this is a fraction of a dense copy, and it is
+// exact — Restore zeroes every line before scattering the stored ones back,
+// and every line left out was zero in the source.
 type State struct {
+	lines int      // line count of the source cache, for the geometry check
+	idx   []uint32 // line index (set*assoc+way) of each stored line
 	tags  []uint64
 	lru   []uint64
 	tick  uint64
@@ -336,28 +345,53 @@ type State struct {
 // it is re-derived by the next access — so a restored cache behaves
 // identically to the snapshotted one from the first access on.
 func (c *Cache) Snapshot() *State {
-	return &State{
-		tags:  append([]uint64(nil), c.tags...),
-		lru:   append([]uint64(nil), c.lru...),
+	n := 0
+	for i := range c.tags {
+		if c.tags[i]|c.lru[i] != 0 {
+			n++
+		}
+	}
+	s := &State{
+		lines: len(c.tags),
+		idx:   make([]uint32, 0, n),
+		tags:  make([]uint64, 0, n),
+		lru:   make([]uint64, 0, n),
 		tick:  c.tick,
 		stats: c.stats,
 	}
+	for i := range c.tags {
+		if c.tags[i]|c.lru[i] != 0 {
+			s.idx = append(s.idx, uint32(i))
+			s.tags = append(s.tags, c.tags[i])
+			s.lru = append(s.lru, c.lru[i])
+		}
+	}
+	return s
 }
 
 // Restore overwrites the cache's state from a snapshot. The snapshot must
 // come from an identically configured cache; the state is copied, never
 // aliased, so the snapshot stays reusable.
 func (c *Cache) Restore(s *State) error {
-	if len(s.tags) != len(c.tags) {
+	if s.lines != len(c.tags) {
 		return fmt.Errorf("cache: snapshot has %d lines, cache has %d (geometry mismatch)",
-			len(s.tags), len(c.tags))
+			s.lines, len(c.tags))
 	}
-	copy(c.tags, s.tags)
-	copy(c.lru, s.lru)
+	clear(c.tags)
+	clear(c.lru)
+	for k, i := range s.idx {
+		c.tags[i] = s.tags[k]
+		c.lru[i] = s.lru[k]
+	}
 	c.tick = s.tick
 	c.stats = s.stats
 	c.hotOK = false
 	return nil
+}
+
+// Bytes is the snapshot's approximate resident size.
+func (s *State) Bytes() int {
+	return int(unsafe.Sizeof(*s)) + 4*cap(s.idx) + 8*cap(s.tags) + 8*cap(s.lru)
 }
 
 // Stats returns a copy of the counters.

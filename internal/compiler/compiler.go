@@ -90,15 +90,6 @@ func CompileWithMap(img *program.Image, opt Options) (*program.Image, *AddrMap, 
 	return out, amap, stats, nil
 }
 
-// MustCompile is Compile for known-good images.
-func MustCompile(img *program.Image, opt Options) (*program.Image, StaticStats) {
-	out, stats, err := Compile(img, opt)
-	if err != nil {
-		panic(err)
-	}
-	return out, stats
-}
-
 // relocate copies the image, optionally inserting a stub in the last slot of
 // each page and rewriting all targets through the old→new map.
 func relocate(img *program.Image, stubs bool) (*program.Image, *AddrMap) {

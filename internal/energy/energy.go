@@ -25,6 +25,11 @@
 // Energies are in nanojoules; Meter totals convert to millijoules.
 package energy
 
+import (
+	"fmt"
+	"math"
+)
+
 // Tech captures technology scaling. The default corresponds to the paper's
 // 0.1 µm process; dynamic energy scales roughly with the square of feature
 // size (C·V² with both C and V shrinking).
@@ -34,6 +39,15 @@ type Tech struct {
 
 // DefaultTech is the paper's 0.1 µm technology point.
 var DefaultTech = Tech{FeatureNm: 100}
+
+// Validate rejects a non-finite feature size. Non-positive sizes are
+// accepted and scale like the 0.1 µm point (see scale).
+func (t Tech) Validate() error {
+	if math.IsNaN(t.FeatureNm) || math.IsInf(t.FeatureNm, 0) {
+		return fmt.Errorf("energy: feature size %v is not finite", t.FeatureNm)
+	}
+	return nil
+}
 
 // scale returns the dynamic-energy scale factor relative to 0.1 µm.
 func (t Tech) scale() float64 {

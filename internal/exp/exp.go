@@ -35,9 +35,17 @@ func Specs() []Spec {
 // Cells enumerates the union of every spec's simulation cells (duplicates
 // included; the Runner dedupes by configuration).
 func Cells(specs []Spec) []sim.Options {
-	var out []sim.Options
-	for _, s := range specs {
-		out = append(out, s.Cells()...)
+	per := make([][]sim.Options, len(specs))
+	n := 0
+	for i, s := range specs {
+		per[i] = s.Cells()
+		n += len(per[i])
+	}
+	// One exact allocation: a regeneration's cells are ~200 KB, and growing
+	// the slice by appends would allocate and copy several times that.
+	out := make([]sim.Options, 0, n)
+	for _, c := range per {
+		out = append(out, c...)
 	}
 	return out
 }

@@ -106,6 +106,9 @@ type Spec struct {
 
 // Cells enumerates every simulation the spec needs.
 func (s Spec) Cells() []sim.Options {
+	if len(s.Axes) == 1 {
+		return s.Axes[0].Enumerate()
+	}
 	var out []sim.Options
 	for _, a := range s.Axes {
 		out = append(out, a.Enumerate()...)

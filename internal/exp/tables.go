@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"itlbcfr/internal/cache"
-	"itlbcfr/internal/compiler"
 	"itlbcfr/internal/core"
 	"itlbcfr/internal/sim"
 	"itlbcfr/internal/tlb"
@@ -132,8 +131,9 @@ func Table3Spec() Spec {
 func Table3(r *Runner) Table { return mustGenerate(Table3Spec(), r) }
 
 // Table4Spec declares the static and dynamic branch statistics. The static
-// half recompiles each benchmark (no simulation); the dynamic half reads the
-// SoLA VI-PT runs.
+// half reads the compiler statistics of the image each SoLA VI-PT run
+// executes, from the Runner's image table (no simulation, and no
+// recompilation on repeated requests); the dynamic half reads those runs.
 func Table4Spec() Spec {
 	return Spec{
 		ID:    "Table 4",
@@ -144,9 +144,12 @@ func Table4Spec() Spec {
 		Rows: func(r *Runner) [][]string {
 			var rows [][]string
 			for _, p := range workload.Profiles() {
-				img := workload.MustGenerate(p)
-				_, st := compiler.MustCompile(img, compiler.Options{InsertBoundaryStubs: true})
-				dyn := r.Get(sim.Options{Profile: p, Scheme: core.SoLA, Style: cache.VIPT})
+				opt := sim.Options{Profile: p, Scheme: core.SoLA, Style: cache.VIPT}
+				st, err := r.pool().StaticStats(opt)
+				if err != nil {
+					panic(err)
+				}
+				dyn := r.Get(opt)
 				rows = append(rows, []string{
 					p.Name,
 					fmt.Sprintf("%d", st.TotalSites),

@@ -5,6 +5,8 @@ import (
 	"context"
 	"runtime"
 	"testing"
+
+	"itlbcfr/internal/workload"
 )
 
 // renderTech regenerates the technology sweep — the sweep with the highest
@@ -59,5 +61,33 @@ func TestWarmForkSweepByteIdentical(t *testing.T) {
 	if w.Warmups*3 != uint64(fstats.Runs) {
 		t.Errorf("tech sweep should share each warm-up across its 3 technology points: "+
 			"%d warm-ups for %d runs", w.Warmups, fstats.Runs)
+	}
+}
+
+// TestTable4CompilesEachImageOnce checks that Table 4's static half reads
+// the Runner's image table: the first call compiles one image per benchmark
+// (shared with that benchmark's SoLA VI-PT run), and repeated calls compile
+// nothing more — table entries are created only by a compilation and never
+// evicted, so a constant count means no image was compiled twice. The
+// rendering must match a fork-disabled Runner, which compiles fresh.
+func TestTable4CompilesEachImageOnce(t *testing.T) {
+	r := NewRunner(3_000, 1_000)
+	first := Table4(r).Render()
+	images := r.Stats().Warm.Images
+	if want := len(workload.Profiles()); images != want {
+		t.Fatalf("Table 4 left %d images resident, want one per benchmark (%d)", images, want)
+	}
+	for i := 0; i < 3; i++ {
+		if got := Table4(r).Render(); got != first {
+			t.Fatalf("repeat %d rendered differently", i)
+		}
+		if got := r.Stats().Warm.Images; got != images {
+			t.Fatalf("repeat %d: %d images resident, want %d: an image was compiled again", i, got, images)
+		}
+	}
+	plain := NewRunner(3_000, 1_000)
+	plain.DisableWarmFork = true
+	if got := Table4(plain).Render(); got != first {
+		t.Errorf("fork-disabled Table 4 differs:\n%s\nwant:\n%s", got, first)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math/bits"
 	"time"
+	"unsafe"
 
 	"itlbcfr/internal/addr"
 	"itlbcfr/internal/bpred"
@@ -99,7 +100,7 @@ func (c Config) Validate() error {
 	if err := c.Bpred.Validate(); err != nil {
 		return err
 	}
-	if c.MLPFactor < 0 || c.MLPFactor > 1 {
+	if !(c.MLPFactor >= 0 && c.MLPFactor <= 1) { // also rejects NaN
 		return fmt.Errorf("pipeline: MLPFactor %v outside [0,1]", c.MLPFactor)
 	}
 	return nil
@@ -966,6 +967,14 @@ func (m *Machine) Checkpoint() (*MachineState, bool) {
 		st.src = m.snap.SnapshotState()
 	}
 	return st, true
+}
+
+// Bytes is the state's approximate resident size: its own fields plus the
+// cache, dTLB and predictor snapshots. The source position is not counted
+// (it is a few words plus the executor's call stack).
+func (st *MachineState) Bytes() int {
+	return int(unsafe.Sizeof(*st)) + st.il1.Bytes() + st.dl1.Bytes() + st.l2.Bytes() +
+		st.dtlb.Bytes() + st.pred.Bytes()
 }
 
 // Restore reinstates a state captured by Checkpoint on a machine built with

@@ -258,6 +258,9 @@ func TestStats(t *testing.T) {
 	if resp.SimWallSecs <= 0 {
 		t.Errorf("sim wall-time not tracked: %s", b)
 	}
+	if w := resp.Runner.Warm; w.Entries != 1 || w.Images != 1 || w.Bytes <= 0 {
+		t.Errorf("warm pool residency (entries, images, bytes) not reported: %+v", w)
+	}
 }
 
 // TestRequestTimeout: a deadline shorter than the simulation yields 504 and

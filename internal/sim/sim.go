@@ -11,7 +11,6 @@ import (
 	"itlbcfr/internal/addr"
 	"itlbcfr/internal/bpred"
 	"itlbcfr/internal/cache"
-	"itlbcfr/internal/compiler"
 	"itlbcfr/internal/core"
 	"itlbcfr/internal/energy"
 	"itlbcfr/internal/pipeline"
@@ -101,7 +100,8 @@ type Options struct {
 // caller (CLI, batch stream, disk store) can see where host time went
 // without re-running anything.
 type Timing struct {
-	// SetupSeconds covers workload generation, compilation and machine
+	// SetupSeconds covers workload generation and compilation (or the image
+	// table lookup that replaces them under a WarmPool) and machine
 	// construction.
 	SetupSeconds float64 `json:"setup_s"`
 	// WarmupSeconds and MeasureSeconds are the two machine.Run phases.
@@ -173,10 +173,11 @@ func (o Options) Canonical() Options {
 }
 
 // Validate checks the options without running anything: page geometry,
-// workload profile, scheme/style, the iTLB configuration and the pipeline,
-// all after Canonical. Run performs exactly these checks; the result store
-// and the HTTP API validate through the same path so a configuration is
-// rejected identically everywhere.
+// workload profile, scheme/style, the iTLB configuration, the energy
+// technology and the pipeline, all after Canonical. Every float it accepts
+// is finite, so every accepted configuration has a JSON key. Run performs
+// exactly these checks; the result store and the HTTP API validate through
+// the same path so a configuration is rejected identically everywhere.
 func (o Options) Validate() error {
 	o = o.Canonical()
 	if _, err := addr.NewGeometry(o.PageBytes); err != nil {
@@ -197,6 +198,9 @@ func (o Options) Validate() error {
 	}
 	if err := o.ITLB.Validate(); err != nil {
 		return fmt.Errorf("sim: iTLB config: %w", err)
+	}
+	if err := o.Tech.Validate(); err != nil {
+		return err
 	}
 	return o.Pipeline.Validate()
 }
@@ -223,14 +227,16 @@ type built struct {
 	itlb    *tlb.TLB
 	space   *vm.AddressSpace
 	meter   *energy.Meter
+	image   *program.Image // the code image the machine fetches from
 
 	closer io.Closer // trace replay stream, nil for synthetic workloads
 	setup  float64   // construction wall seconds
 }
 
 // build constructs the full simulation stack for opt (already validated):
-// workload, compiler, CFR engine, energy meter and pipeline.
-func build(opt Options) (*built, error) {
+// workload image, CFR engine, energy meter and pipeline. The compiled image
+// comes from pool's image table (a nil pool compiles it fresh).
+func build(opt Options, pool *WarmPool) (*built, error) {
 	setupStart := time.Now()
 
 	opt = opt.Canonical()
@@ -258,14 +264,7 @@ func build(opt Options) (*built, error) {
 		compiled = rep.Image()
 		src = rep
 	} else {
-		img, err := workload.Generate(opt.Profile)
-		if err != nil {
-			return nil, err
-		}
-		img.Geom = geom
-		c, _, err := compiler.Compile(img, compiler.Options{
-			InsertBoundaryStubs: opt.Scheme.NeedsStubs(),
-		})
+		c, _, err := pool.image(imageKeyOf(opt))
 		if err != nil {
 			return nil, err
 		}
@@ -287,6 +286,7 @@ func build(opt Options) (*built, error) {
 		return nil, err
 	}
 	b.machine = m
+	b.image = compiled
 	b.setup = time.Since(setupStart).Seconds()
 	return b, nil
 }
@@ -335,12 +335,13 @@ func Run(opt Options) (Result, error) { return RunWith(opt, nil) }
 // simulation with the same warm key (see WarmPool) has already run its
 // warm-up, this one forks the pooled post-warm-up state instead of
 // re-executing the warm-up — byte-identical results, a fraction of the
-// time. A nil pool makes RunWith exactly Run.
+// time — and the workload image comes from the pool's image table. A nil
+// pool makes RunWith exactly Run.
 func RunWith(opt Options, pool *WarmPool) (Result, error) {
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
-	b, err := build(opt)
+	b, err := build(opt, pool)
 	if err != nil {
 		return Result{}, err
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"itlbcfr/internal/energy"
 )
@@ -633,6 +634,15 @@ func (t *TLB) Restore(s *State) error {
 	copy(t.stats.Hits, s.stats.Hits)
 	t.stats.Walks = s.stats.Walks
 	return nil
+}
+
+// Bytes is the snapshot's approximate resident size.
+func (s *State) Bytes() int {
+	n := int(unsafe.Sizeof(*s)) + 8*cap(s.ticks) + 8*(cap(s.stats.Accesses)+cap(s.stats.Hits))
+	for _, w := range s.ways {
+		n += int(unsafe.Sizeof(entry{})) * cap(w)
+	}
+	return n
 }
 
 // Invalidate removes vpn from every level, returning whether any entry was

@@ -7,6 +7,7 @@ package vm
 
 import (
 	"fmt"
+	"unsafe"
 
 	"itlbcfr/internal/addr"
 )
@@ -221,6 +222,12 @@ func (as *AddressSpace) Restore(s *State) {
 	}
 	as.next = s.next
 	as.stats = s.stats
+}
+
+// Bytes is the snapshot's approximate resident size: its fields plus the
+// key/value payload of its maps (map bucket overhead is not counted).
+func (s *State) Bytes() int {
+	return int(unsafe.Sizeof(*s)) + 16*len(s.pages) + 9*len(s.pinned)
 }
 
 // Stats returns a copy of the counters.

@@ -36,6 +36,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"itlbcfr/internal/addr"
 	"itlbcfr/internal/isa"
@@ -124,6 +125,24 @@ func (p Profile) Validate() error {
 	}
 	if s := p.JumpFrac + p.IndFrac; s > 0.9 {
 		return fmt.Errorf("workload %q: jump+indirect fraction %v leaves no conditionals", p.Name, s)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"FarCallFrac", p.FarCallFrac}, {"SmallLoopFrac", p.SmallLoopFrac},
+		{"SmallLoopBias", p.SmallLoopBias}, {"FwdBiasLo", p.FwdBiasLo},
+		{"FwdBiasHi", p.FwdBiasHi}, {"ColdFrac", p.ColdFrac}, {"ColdBias", p.ColdBias},
+		{"JumpFrac", p.JumpFrac}, {"TailJumpFrac", p.TailJumpFrac}, {"IndFrac", p.IndFrac},
+		{"StraightFrac", p.StraightFrac}, {"WorkerCall", p.WorkerCall},
+		{"IndFarFrac", p.IndFarFrac}, {"FracMem", p.FracMem}, {"FracFP", p.FracFP},
+		{"DataJumpProb", p.DataJumpProb},
+	} {
+		// A NaN would also defeat every profile comparison: it never equals
+		// itself, so no two runs of such a profile could share an image.
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload %q: %s %v is not finite", p.Name, f.name, f.v)
+		}
 	}
 	return nil
 }
