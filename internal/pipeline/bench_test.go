@@ -12,11 +12,11 @@ import (
 
 // BenchmarkAccountMem measures the per-memory-op back-end charge — the
 // data-side hot path the bulk loop calls for every committed load and store:
-// dTLB hot slot (or data CFR), dL1, and on a dL1 miss the L2/DRAM levels.
+// the dTLB lookup (or data CFR), dL1, and on a dL1 miss the L2/DRAM levels.
 // Two regimes bracket it: the streaming case (stride-16 loads walking a
-// page, the default workload's shape — hot-slot and same-block-memo hits
-// dominate) and a page- and block-hostile stride that misses the memo, the
-// hot slot and frequently the dL1.
+// page, the default workload's shape — dTLB level-memo and cache
+// same-block-memo hits dominate) and a page- and block-hostile stride that
+// misses both memos and frequently the dL1.
 func BenchmarkAccountMem(b *testing.B) {
 	build := func(b *testing.B) *Machine {
 		img := benchImage(b, core.Base)

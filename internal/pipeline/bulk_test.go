@@ -86,11 +86,11 @@ func benchImage(t testing.TB, scheme core.Scheme) *program.Image {
 }
 
 // TestBulkPathMatchesScalar pins the bulk fast path (correct-path fetch
-// groups, wrong-path groups, the engine's batched translate calls, the TLB
-// hot-slot memo) to the scalar reference: for every scheme × iL1 style the
-// entire Result, engine statistics, iTLB statistics and accumulated energy
-// must be identical whether or not the source exposes the batched
-// interface.
+// groups, wrong-path groups, the engine's batched translate calls) to the
+// scalar reference: for every scheme × iL1 style the entire Result, engine
+// statistics, iTLB statistics and accumulated energy must be identical
+// whether or not the source exposes the batched interface. An unbatched
+// source takes neither bulk path, so the reference side is fully scalar.
 func TestBulkPathMatchesScalar(t *testing.T) {
 	schemes := []core.Scheme{core.Base, core.OPT, core.HoA, core.SoCA, core.SoLA, core.IA}
 	styles := []cache.Style{cache.VIVT, cache.VIPT, cache.PIPT}

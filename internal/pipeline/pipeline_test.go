@@ -260,3 +260,37 @@ func TestDataCFRAvoidsDTLBLookups(t *testing.T) {
 		t.Error("disabled dCFR must not count")
 	}
 }
+
+// TestRemapShootsDownDTLBEntry is the regression test for the stale dTLB
+// translation: when the OS remaps a data page, the machine's invalidation
+// hook must drop the page's dTLB entry, so the next lookup walks to the new
+// frame instead of hitting the old one.
+func TestRemapShootsDownDTLBEntry(t *testing.T) {
+	s := buildStack(t, testConfig(cache.VIPT), loopImage(64), core.Base, false)
+	m := s.m
+	const data = addr.VAddr(0x1000_0040)
+	vpn := m.geom.VPN(data)
+	st := program.Step{Kind: isa.Load, Data: data}
+	m.backCycle = m.accountMem(&st, m.backCycle)
+	old, ok := s.space.Lookup(vpn)
+	if !ok {
+		t.Fatal("the load's walk did not map its page")
+	}
+	if r := m.dtlb.Lookup(vpn, m.walkFn); r.HitLevel != 0 || r.PFN != old {
+		t.Fatalf("warm dTLB lookup = %+v, want a level-0 hit on frame %#x", r, old)
+	}
+	pfn, err := s.space.Remap(vpn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pfn == old {
+		t.Fatalf("remap kept frame %#x", old)
+	}
+	r := m.dtlb.Lookup(vpn, m.walkFn)
+	if r.PFN != pfn {
+		t.Fatalf("dTLB translates remapped page %#x to stale frame %#x, want %#x", vpn, r.PFN, pfn)
+	}
+	if r.HitLevel != -1 {
+		t.Errorf("first lookup after remap hit level %d; the entry should have been shot down", r.HitLevel)
+	}
+}

@@ -463,133 +463,6 @@ func (t *TLB) fill(li int, vpn, pfn uint64) {
 	}
 }
 
-// HotSlot is a caller-held memo over a single-level TLB's two most recently
-// translated VPNs (two slots, matching the level memo: the executor
-// interleaves two data streams), with *deferred* accounting: lookups of a
-// memoized VPN return immediately, recording only a virtual access count,
-// instead of touching the TLB's statistics, LRU tick or energy meter per
-// lookup. Flush applies the batch exactly: n deferred hits advance the LRU
-// tick by n, and each memoized entry is restamped with the tick value of its
-// *last* deferred access (base tick + the virtual position recorded at that
-// access) — bit-identical to n individual Lookup calls, including the
-// relative LRU order of the two entries and of everything else in the TLB.
-//
-// The slot owner must call Flush (or Drop) before ANY other observation or
-// mutation of the TLB — Stats, ResetStats, Snapshot, Flush, Invalidate — and
-// must route every lookup of the TLB through the slot while it is in use;
-// Lookup itself flushes before falling back to the full path, so arbitrary
-// VPN sequences through one slot are always safe. Drop discards the memo
-// without applying pending accounting (state restore, where the deferred
-// hits belong to a discarded timeline). Multi-level TLBs never memoize (a
-// level-2 probe or promotion cannot be deferred), so a HotSlot over one
-// degrades to plain Lookup calls.
-//
-// A HotSlot is not safe for concurrent use, like the TLB it wraps.
-type HotSlot struct {
-	t *TLB
-
-	vpn   [2]uint64
-	pfn   [2]uint64
-	way   [2]int32
-	valid [2]bool
-
-	// Deferred accounting: v counts deferred hits since the last flush, and
-	// lastV[i] is the value v had at slot i's most recent deferred hit (0 =
-	// none since the flush). recent names the slot to keep on replacement.
-	v      uint64
-	lastV  [2]uint64
-	recent int
-}
-
-// NewHotSlot returns an empty hot slot over t.
-func (t *TLB) NewHotSlot() *HotSlot { return &HotSlot{t: t} }
-
-// Lookup is TLB.Lookup memoized on the two most recently translated VPNs.
-// Results and (after a Flush) TLB state are identical to calling TLB.Lookup
-// directly.
-func (h *HotSlot) Lookup(vpn uint64, walk func(vpn uint64) uint64) Result {
-	if h.valid[0] && vpn == h.vpn[0] {
-		h.v++
-		h.lastV[0] = h.v
-		h.recent = 0
-		return Result{PFN: h.pfn[0], HitLevel: 0}
-	}
-	if h.valid[1] && vpn == h.vpn[1] {
-		h.v++
-		h.lastV[1] = h.v
-		h.recent = 1
-		return Result{PFN: h.pfn[1], HitLevel: 0}
-	}
-	h.Flush()
-	r := h.t.Lookup(vpn, walk)
-	if len(h.t.levels) != 1 {
-		return r
-	}
-	l := h.t.levels[0]
-	// The lookup may have walked and filled, evicting the way a surviving
-	// slot points at; re-validate it against the array before keeping it.
-	keep := h.recent
-	if h.valid[keep] {
-		e := &l.ways[h.way[keep]]
-		if !e.valid || e.vpn != h.vpn[keep] {
-			h.valid[keep] = false
-		}
-	}
-	// Memoize where the new translation lives, in the slot not being kept.
-	// After a single-level hit or walk-fill the level's own MRU memo points
-	// at vpn's way; anything else stays unmemoized.
-	repl := 1 - keep
-	h.valid[repl] = false
-	if l.hotVPN[0] == vpn {
-		if e := &l.ways[l.hotIdx[0]]; e.valid && e.vpn == vpn {
-			h.vpn[repl], h.pfn[repl], h.way[repl], h.valid[repl] = vpn, r.PFN, l.hotIdx[0], true
-			h.recent = repl
-		}
-	}
-	return r
-}
-
-// Flush applies the deferred accounting: v hits become level-0 accesses and
-// hits, the LRU tick advances by v, each touched entry is restamped with the
-// tick of its last deferred access, and the meter (if any) is charged. The
-// memo itself stays valid.
-func (h *HotSlot) Flush() {
-	if h.v == 0 {
-		return
-	}
-	t := h.t
-	l := t.levels[0]
-	base := l.lruTick
-	l.lruTick = base + h.v
-	if h.lastV[0] != 0 {
-		l.ways[h.way[0]].lru = base + h.lastV[0]
-	}
-	if h.lastV[1] != 0 {
-		l.ways[h.way[1]].lru = base + h.lastV[1]
-	}
-	t.stats.Accesses[0] += h.v
-	t.stats.Hits[0] += h.v
-	if t.meter != nil {
-		t.meter.AddAccesses(0, h.v)
-	}
-	h.v, h.lastV[0], h.lastV[1] = 0, 0, 0
-}
-
-// Invalidate flushes pending accounting and drops the memo — the TLB is
-// about to change under the slot (context switch, page remap).
-func (h *HotSlot) Invalidate() {
-	h.Flush()
-	h.valid[0], h.valid[1] = false, false
-}
-
-// Drop discards the memo AND any pending accounting without applying it —
-// for state restores, where the deferred hits belong to the timeline being
-// discarded.
-func (h *HotSlot) Drop() {
-	h.v, h.lastV[0], h.lastV[1] = 0, 0, 0
-	h.valid[0], h.valid[1] = false, false
-}
-
 // State is a deep snapshot of a TLB's contents and statistics, taken with
 // Snapshot and reinstated with Restore. It shares no memory with the TLB it
 // came from, so one snapshot can seed many TLBs concurrently.
