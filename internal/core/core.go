@@ -350,15 +350,20 @@ func (e *Engine) cfrHit(pc addr.VAddr) FetchOutcome {
 }
 
 // FetchTranslateRun batches the engine work for n consecutive correct-path
-// fetches that all hit vpn — the pipeline's fast path for sequential runs
-// within the CFR-resident page. It performs exactly the accounting n calls
-// to FetchTranslate (eager styles) or OnFetchObserved (lazy style) would:
-// per-fetch CFR reads and HoA comparator operations, with no CFR or iTLB
-// state change. It returns false — having done nothing — whenever any of
-// those n calls would have deviated from the pure CFR-hit path (Base's
-// unconditional lookups, a pending software trigger, a CFR miss), in which
-// case the caller must fall back to per-fetch calls.
-func (e *Engine) FetchTranslateRun(vpn uint64, n uint64) bool {
+// fetches from one page, vpn — the pipeline's fast path for page-bounded
+// sequential runs. It performs exactly the accounting n calls to
+// FetchTranslate (eager styles) or OnFetchObserved (lazy style) would, and
+// returns the frame number to fetch from and the run's stall cycles. Base
+// consults the iTLB on every fetch, so its n lookups become one
+// tlb.TLB.LookupRun: only the first can walk, and the stall is that walk's.
+// The CFR schemes serve the run from the CFR: per-fetch CFR reads and HoA
+// comparator operations, no CFR or iTLB state change, no stall. Under the
+// lazy style the frame number is unused (OnIL1Miss translates at misses).
+// It returns ok = false — having done nothing — whenever any of those n
+// calls would have deviated from that path (a pending software trigger, a
+// CFR that does not cover vpn), in which case the caller must fall back to
+// per-fetch calls.
+func (e *Engine) FetchTranslateRun(vpn uint64, n uint64) (pfn uint64, stall int, ok bool) {
 	if e.style == cache.VIVT {
 		// Lazy style: translation happens on iL1 misses (which the caller
 		// still reports via OnIL1Miss); the only per-fetch engine work is
@@ -369,16 +374,19 @@ func (e *Engine) FetchTranslateRun(vpn uint64, n uint64) bool {
 				e.meter.AddComparisons(n)
 			}
 		}
-		return true
+		return 0, 0, true
 	}
 	switch e.scheme {
+	case Base:
+		pfn, stall = e.baseRun(vpn, n)
+		return pfn, stall, true
 	case OPT:
 		if !e.cfr.Covers(vpn) {
-			return false
+			return 0, 0, false
 		}
 	case HoA:
 		if !e.cfr.Covers(vpn) {
-			return false
+			return 0, 0, false
 		}
 		e.stats.Comparisons += n
 		if e.meter != nil {
@@ -386,27 +394,28 @@ func (e *Engine) FetchTranslateRun(vpn uint64, n uint64) bool {
 		}
 	case SoCA, SoLA, IA:
 		if e.pending || !e.cfr.Valid || e.cfr.VPN != vpn {
-			return false
+			return 0, 0, false
 		}
-	default: // Base consults the iTLB on every fetch
-		return false
+	default: // the scalar path rejects an unknown scheme
+		return 0, 0, false
 	}
 	e.stats.CFRHits += n
 	if e.meter != nil {
 		e.meter.AddCFRReads(n)
 	}
-	return true
+	return e.cfr.PFN, 0, true
 }
 
 // FetchTranslateRunWrong is the wrong-path analogue of FetchTranslateRun: it
 // batches n sequential wrong-path fetches of vpn, returning the frame number
-// to fetch from and whether batching was possible. It reproduces exactly what
-// n calls to FetchTranslate (or OnFetchObserved) with wrongPath=true would do
-// on their non-mutating paths: OPT walks the page table per fetch but records
-// nothing, the software schemes may consume a stale CFR frame without
-// counting it, and CFR hits and HoA comparisons count as usual. Any case that
-// would consult the iTLB returns false untouched.
-func (e *Engine) FetchTranslateRunWrong(vpn uint64, n uint64) (uint64, bool) {
+// to fetch from, the stall cycles and whether batching was possible. It
+// reproduces exactly what n calls to FetchTranslate (or OnFetchObserved)
+// with wrongPath=true would do: Base's n lookups become one LookupRun, OPT
+// walks the page table per fetch but records nothing, the software schemes
+// may consume a stale CFR frame without counting it, and CFR hits and HoA
+// comparisons count as usual. Any other case that would consult the iTLB
+// returns ok = false untouched.
+func (e *Engine) FetchTranslateRunWrong(vpn uint64, n uint64) (pfn uint64, stall int, ok bool) {
 	if e.style == cache.VIVT {
 		if e.scheme == HoA {
 			e.stats.Comparisons += n
@@ -414,14 +423,17 @@ func (e *Engine) FetchTranslateRunWrong(vpn uint64, n uint64) (uint64, bool) {
 				e.meter.AddComparisons(n)
 			}
 		}
-		return 0, true // translation happens at iL1 misses via OnIL1Miss
+		return 0, 0, true // translation happens at iL1 misses via OnIL1Miss
 	}
 	switch e.scheme {
+	case Base:
+		pfn, stall = e.baseRun(vpn, n)
+		return pfn, stall, true
 	case OPT:
-		return e.space.WalkN(vpn, n), true
+		return e.space.WalkN(vpn, n), 0, true
 	case HoA:
 		if !e.cfr.Covers(vpn) {
-			return 0, false
+			return 0, 0, false
 		}
 		e.stats.Comparisons += n
 		if e.meter != nil {
@@ -429,21 +441,31 @@ func (e *Engine) FetchTranslateRunWrong(vpn uint64, n uint64) (uint64, bool) {
 		}
 	case SoCA, SoLA, IA:
 		if e.pending || !e.cfr.Valid {
-			return 0, false
+			return 0, 0, false
 		}
 		if e.cfr.VPN != vpn {
 			// Stale use: the squash discards the fetch, and wrong-path stale
 			// uses are not counted (see FetchTranslate).
-			return e.cfr.PFN, true
+			return e.cfr.PFN, 0, true
 		}
-	default: // Base consults the iTLB on every fetch
-		return 0, false
+	default: // the scalar path rejects an unknown scheme
+		return 0, 0, false
 	}
 	e.stats.CFRHits += n
 	if e.meter != nil {
 		e.meter.AddCFRReads(n)
 	}
-	return e.cfr.PFN, true
+	return e.cfr.PFN, 0, true
+}
+
+// baseRun is n of Base's per-fetch lookups of vpn (see lookup), done as one
+// LookupRun. Base keeps no CFR, so nothing else changes.
+func (e *Engine) baseRun(vpn uint64, n uint64) (uint64, int) {
+	e.stats.Lookups += n
+	e.stats.LookupsBase += n
+	r := e.itlb.LookupRun(vpn, n, e.walkFn)
+	e.stats.WalkCycles += uint64(r.ExtraCycles)
+	return r.PFN, r.ExtraCycles
 }
 
 func (e *Engine) pendingOr(c Cause) Cause {

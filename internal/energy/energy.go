@@ -170,6 +170,10 @@ func NewMeter(m *Model, levelsEntries, levelsAssoc []int) *Meter {
 // probe as it happens, so the count is exact whenever the meter is read.
 func (mt *Meter) AddAccess(level int) { mt.Accesses[level]++ }
 
+// AddAccesses records n lookups at the given TLB level at once (a run of
+// same-page iTLB hits, see tlb.TLB.LookupRun).
+func (mt *Meter) AddAccesses(level int, n uint64) { mt.Accesses[level] += n }
+
 // AddMiss records one miss (and refill) at the given TLB level.
 func (mt *Meter) AddMiss(level int) { mt.Misses[level]++ }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -136,6 +137,39 @@ func TestKeyUnification(t *testing.T) {
 	}
 	if s := st.Stats(); s.Puts != 1 {
 		t.Errorf("default spellings wrote %d disk entries, want 1", s.Puts)
+	}
+}
+
+// TestJobResolvesOnce: a resolved Job carries the key Key reports, and its
+// memo probe and result are the option-taking calls' without hashing the
+// configuration again — a memo-hit probe by Job allocates nothing, where
+// hashing allocates kilobytes.
+func TestJobResolvesOnce(t *testing.T) {
+	ctx := context.Background()
+	r := NewRunner(5_000, 1_000)
+	opt := sim.Options{Profile: workload.Mesa(), Scheme: core.IA, Style: cache.VIPT}
+	j := r.Job(opt)
+	if k := r.Key(opt); j.Key != k {
+		t.Fatalf("Job key %s, Key %s", j.Key, k)
+	}
+	if _, ok := r.CachedJob(j); ok {
+		t.Fatal("CachedJob hit before any run")
+	}
+	res, err := r.JobResult(ctx, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := r.Result(ctx, opt); err != nil || !reflect.DeepEqual(again, res) || r.Runs() != 1 {
+		t.Fatalf("Result after JobResult: err %v, runs %d; want the memoized result", err, r.Runs())
+	}
+	if got, ok := r.CachedJob(j); !ok || !reflect.DeepEqual(got, res) {
+		t.Fatalf("CachedJob after the run: ok %v, want the memoized result", ok)
+	}
+	if a := testing.AllocsPerRun(20, func() { r.CachedJob(j) }); a != 0 {
+		t.Errorf("a memo-hit probe by Job allocates %.0f times, want 0 (no re-hash)", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { r.Cached(opt) }); a == 0 {
+		t.Error("probing by options allocates nothing, so the check above cannot see a re-hash")
 	}
 }
 

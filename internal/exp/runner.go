@@ -148,21 +148,36 @@ func (r *Runner) normalize(opt sim.Options) sim.Options {
 	return opt.Canonical()
 }
 
+// Job is one configuration as this Runner files it: the options with the
+// Runner's defaults applied and canonicalized, and the store key they hash
+// to. Hashing costs microseconds, so a caller that needs the key, a memo
+// probe and the result resolves the options once and passes the Job.
+type Job struct {
+	Key string
+	opt sim.Options
+}
+
+// Job resolves opt under this Runner.
+func (r *Runner) Job(opt sim.Options) Job {
+	opt = r.normalize(opt)
+	return Job{Key: store.Key(opt), opt: opt}
+}
+
 // Key returns the canonical store key opt resolves to under this Runner —
 // after the Runner's instruction/warm-up defaults are applied — i.e. the
 // key its result is memoized and filed on disk under.
-func (r *Runner) Key(opt sim.Options) string {
-	return store.Key(r.normalize(opt))
-}
+func (r *Runner) Key(opt sim.Options) string { return r.Job(opt).Key }
 
 // Cached returns the settled memoized result for opt, without claiming,
 // blocking or computing. In-flight entries report false.
-func (r *Runner) Cached(opt sim.Options) (sim.Result, bool) {
+func (r *Runner) Cached(opt sim.Options) (sim.Result, bool) { return r.CachedJob(r.Job(opt)) }
+
+// CachedJob is Cached for a resolved Job.
+func (r *Runner) CachedJob(j Job) (sim.Result, bool) {
 	m := r.met()
-	key := store.Key(r.normalize(opt))
 	t0 := time.Now()
 	r.mu.Lock()
-	e, ok := r.cache[key]
+	e, ok := r.cache[j.Key]
 	r.mu.Unlock()
 	m.memoLookup.ObserveSince(t0)
 	if ok && e.settled() && e.err == nil {
@@ -259,8 +274,12 @@ func (r *Runner) observeRun(res sim.Result) {
 // already simulating runs to completion and still settles the memo for
 // others); the owner itself checks ctx only before starting.
 func (r *Runner) Result(ctx context.Context, opt sim.Options) (sim.Result, error) {
-	opt = r.normalize(opt)
-	key := store.Key(opt)
+	return r.JobResult(ctx, r.Job(opt))
+}
+
+// JobResult is Result for a resolved Job.
+func (r *Runner) JobResult(ctx context.Context, j Job) (sim.Result, error) {
+	opt, key := j.opt, j.Key
 	for {
 		e, owner := r.claim(key)
 		if !owner {

@@ -11,8 +11,9 @@ import (
 
 // renderTech regenerates the technology sweep — the sweep with the highest
 // warm-state sharing (three technology points per (benchmark, scheme) cell)
-// — and returns its rendered bytes plus the Runner's stats.
-func renderTech(t *testing.T, disableFork bool, workers int) (string, Stats) {
+// — and returns its rendered bytes plus the Runner, whose memo holds every
+// cell.
+func renderTech(t *testing.T, disableFork bool, workers int) (string, *Runner) {
 	t.Helper()
 	r := NewRunner(20_000, 5_000)
 	r.Workers = workers
@@ -25,19 +26,38 @@ func renderTech(t *testing.T, disableFork bool, workers int) (string, Stats) {
 	if err := WriteTables(&b, FormatText, []Table{tb}); err != nil {
 		t.Fatal(err)
 	}
-	return b.String(), r.Stats()
+	return b.String(), r
 }
 
 // TestWarmForkSweepByteIdentical is the sweep-level contract of the warm
 // pool: a parallel regeneration with warm-state forking must render byte
 // for byte what a fork-disabled regeneration renders, while executing each
-// distinct warm-up exactly once.
+// distinct warm-up exactly once. The fast-path coverage counters, which
+// the rendering does not show, must agree cell by cell too.
 func TestWarmForkSweepByteIdentical(t *testing.T) {
-	forked, fstats := renderTech(t, false, runtime.NumCPU())
-	plain, pstats := renderTech(t, true, runtime.NumCPU())
+	forked, fr := renderTech(t, false, runtime.NumCPU())
+	plain, pr := renderTech(t, true, runtime.NumCPU())
+	fstats, pstats := fr.Stats(), pr.Stats()
 	if forked != plain {
 		t.Fatalf("warm-forked sweep differs from fork-disabled sweep (lengths %d vs %d)",
 			len(forked), len(plain))
+	}
+	for _, c := range TechSweepSpec().Cells() {
+		f, fok := fr.Cached(c)
+		p, pok := pr.Cached(c)
+		if !fok || !pok {
+			t.Fatalf("%s/%s: cell missing from a memo (forked %v, plain %v)", c.BenchName(), c.Scheme, fok, pok)
+		}
+		fc := [2]uint64{f.Timing.BulkCommitted, f.Timing.BulkWrongPath}
+		pc := [2]uint64{p.Timing.BulkCommitted, p.Timing.BulkWrongPath}
+		if fc != pc {
+			t.Errorf("%s/%s: bulk counters (committed, wrong-path) forked %v, plain %v",
+				c.BenchName(), c.Scheme, fc, pc)
+		}
+		if fc[0] == 0 || fc[1] == 0 {
+			t.Errorf("%s/%s: nothing retired in bulk (%v), so the counters are unchecked",
+				c.BenchName(), c.Scheme, fc)
+		}
 	}
 
 	// Fork-disabled: the pool is off entirely.

@@ -35,9 +35,14 @@ type stack struct {
 
 func buildStack(t testing.TB, cfg Config, img *program.Image, scheme core.Scheme, scalar bool) *stack {
 	t.Helper()
+	return buildStackITLB(t, cfg, tlb.Mono(32, 32), img, scheme, scalar)
+}
+
+// buildStackITLB is buildStack over the given iTLB geometry.
+func buildStackITLB(t testing.TB, cfg Config, itlbCfg tlb.Config, img *program.Image, scheme core.Scheme, scalar bool) *stack {
+	t.Helper()
 	geom := img.Geom
 	space := vm.New(geom, 1)
-	itlbCfg := tlb.Mono(32, 32)
 	itlb := tlb.New(itlbCfg)
 	meter := energy.NewMeter(energy.NewModel(energy.DefaultTech), itlbCfg.EntriesPerLevel(), itlbCfg.AssocPerLevel())
 	itlb.AttachMeter(meter)
@@ -86,43 +91,87 @@ func benchImage(t testing.TB, scheme core.Scheme) *program.Image {
 }
 
 // TestBulkPathMatchesScalar pins the bulk fast path (correct-path fetch
-// groups, wrong-path groups, the engine's batched translate calls) to the
-// scalar reference: for every scheme × iL1 style the entire Result, engine
-// statistics, iTLB statistics and accumulated energy must be identical
-// whether or not the source exposes the batched interface. An unbatched
-// source takes neither bulk path, so the reference side is fully scalar.
+// groups, wrong-path groups, the engine's batched translate calls and
+// Base's LookupRun) to the scalar reference: for every iTLB organization ×
+// scheme × iL1 style the entire Result, engine statistics, iTLB statistics,
+// final iTLB contents and LRU order, and accumulated energy must be
+// identical whether or not the source exposes the batched interface. An
+// unbatched source takes neither bulk path, so the reference side is fully
+// scalar.
 func TestBulkPathMatchesScalar(t *testing.T) {
+	// prefix names the subtests; the default iTLB's carry none.
+	itlbs := []struct {
+		prefix string
+		cfg    tlb.Config
+	}{
+		{"", tlb.Mono(32, 32)},
+		{"serial1+32_", tlb.TwoLevel(1, 1, 32, 32, false)},
+		{"parallel4+32_", tlb.TwoLevel(4, 4, 32, 32, true)},
+	}
 	schemes := []core.Scheme{core.Base, core.OPT, core.HoA, core.SoCA, core.SoLA, core.IA}
 	styles := []cache.Style{cache.VIVT, cache.VIPT, cache.PIPT}
-	for _, scheme := range schemes {
-		for _, style := range styles {
-			t.Run(fmt.Sprintf("%s_%s", scheme, style), func(t *testing.T) {
-				img := benchImage(t, scheme)
-				cfg := testConfig(style)
-				fast := buildStack(t, cfg, img, scheme, false)
-				slow := buildStack(t, cfg, img, scheme, true)
-				if fast.m.batcher == nil {
-					t.Fatal("executor should expose the batched interface")
-				}
-				if slow.m.batcher != nil {
-					t.Fatal("scalarOnly wrapper leaked the batched interface")
-				}
-				resFast := fast.run(2_000, 20_000)
-				resSlow := slow.run(2_000, 20_000)
-				if !reflect.DeepEqual(resFast, resSlow) {
-					t.Errorf("bulk result diverges from scalar:\nbulk:   %+v\nscalar: %+v", resFast, resSlow)
-				}
-				if ef, es := fast.engine.Stats(), slow.engine.Stats(); ef != es {
-					t.Errorf("engine stats diverge:\nbulk:   %+v\nscalar: %+v", ef, es)
-				}
-				if tf, ts := fast.itlb.Stats(), slow.itlb.Stats(); !reflect.DeepEqual(tf, ts) {
-					t.Errorf("iTLB stats diverge:\nbulk:   %+v\nscalar: %+v", tf, ts)
-				}
-				if nf, ns := fast.meter.TotalNJ(), slow.meter.TotalNJ(); nf != ns {
-					t.Errorf("energy diverges: bulk %v nJ, scalar %v nJ", nf, ns)
-				}
-			})
+	for _, it := range itlbs {
+		for _, scheme := range schemes {
+			img := benchImage(t, scheme)
+			for _, style := range styles {
+				t.Run(fmt.Sprintf("%s%s_%s", it.prefix, scheme, style), func(t *testing.T) {
+					cfg := testConfig(style)
+					fast := buildStackITLB(t, cfg, it.cfg, img, scheme, false)
+					slow := buildStackITLB(t, cfg, it.cfg, img, scheme, true)
+					if fast.m.batcher == nil {
+						t.Fatal("executor should expose the batched interface")
+					}
+					if slow.m.batcher != nil {
+						t.Fatal("scalarOnly wrapper leaked the batched interface")
+					}
+					resFast := fast.run(2_000, 20_000)
+					resSlow := slow.run(2_000, 20_000)
+					if !reflect.DeepEqual(resFast, resSlow) {
+						t.Errorf("bulk result diverges from scalar:\nbulk:   %+v\nscalar: %+v", resFast, resSlow)
+					}
+					if ef, es := fast.engine.Stats(), slow.engine.Stats(); ef != es {
+						t.Errorf("engine stats diverge:\nbulk:   %+v\nscalar: %+v", ef, es)
+					}
+					if tf, ts := fast.itlb.Stats(), slow.itlb.Stats(); !reflect.DeepEqual(tf, ts) {
+						t.Errorf("iTLB stats diverge:\nbulk:   %+v\nscalar: %+v", tf, ts)
+					}
+					if !reflect.DeepEqual(fast.itlb.Snapshot(), slow.itlb.Snapshot()) {
+						t.Error("final iTLB contents or LRU order diverge")
+					}
+					if nf, ns := fast.meter.TotalNJ(), slow.meter.TotalNJ(); nf != ns {
+						t.Errorf("energy diverges: bulk %v nJ, scalar %v nJ", nf, ns)
+					}
+					if p := slow.m.PathStats(); p != (PathStats{}) {
+						t.Errorf("scalar reference retired work in bulk: %+v", p)
+					}
+					if p := fast.m.PathStats(); p.BulkCommitted == 0 || p.BulkWrongPath == 0 {
+						t.Errorf("a bulk path retired nothing, so the comparison does not cover it: %+v", p)
+					}
+				})
+			}
 		}
+	}
+}
+
+// TestPathStatsCoverMeasuredWindow pins the fast-path counters to the
+// measured window: after ResetStats they count exactly what a machine that
+// never reset counts over the same instructions, no warm-up included.
+func TestPathStatsCoverMeasuredWindow(t *testing.T) {
+	const warm, n = 3_000, 20_000
+	img := benchImage(t, core.Base)
+	cfg := testConfig(cache.VIPT)
+	measured := buildStack(t, cfg, img, core.Base, false)
+	measured.m.Run(warm)
+	measured.m.ResetStats()
+	measured.m.Run(n)
+	whole := buildStack(t, cfg, img, core.Base, false)
+	whole.m.Run(warm)
+	before := whole.m.PathStats()
+	whole.m.Run(warm + n)
+	after := whole.m.PathStats()
+	want := PathStats{after.BulkCommitted - before.BulkCommitted, after.BulkWrongPath - before.BulkWrongPath}
+	if got := measured.m.PathStats(); got != want || before.BulkCommitted == 0 {
+		t.Errorf("measured-window counters %+v, want %+v (warm-up counted %+v)", got, want, before)
 	}
 }
 

@@ -150,6 +150,15 @@ type Result struct {
 	WallSeconds float64
 }
 
+// PathStats counts which code path did the simulator's work: how much of
+// it the bulk fast paths retired. They describe the simulator, not the
+// simulated machine, so they stay out of Result, whose every field is the
+// same on the scalar and the bulk path; ResetStats zeroes them with it.
+type PathStats struct {
+	BulkCommitted uint64 // correct-path instructions retired by bulkGroups
+	BulkWrongPath uint64 // wrong-path fetches retired by wrongBulkGroup
+}
+
 // InstPerSec returns the simulator's own throughput for the producing Run
 // call: committed instructions per host wall second.
 func (r Result) InstPerSec() float64 {
@@ -246,7 +255,8 @@ type Machine struct {
 	totalCommitted uint64
 	totalRemaps    uint64
 
-	res Result
+	res   Result
+	paths PathStats
 }
 
 // New builds a machine. The engine must have been constructed over the same
@@ -324,6 +334,7 @@ func physAccess(c *cache.Cache, pa addr.PAddr, write bool) cache.Result {
 // not restart here: resetting statistics must not move injected events.
 func (m *Machine) ResetStats() {
 	m.res = Result{}
+	m.paths = PathStats{}
 	m.cycleBase = m.frontCycle
 	m.backBase = m.backCycle
 	m.il1.ResetStats()
@@ -355,6 +366,10 @@ func (m *Machine) Run(n uint64) Result {
 	m.res.DTLB = m.dtlb.Stats()
 	return m.res
 }
+
+// PathStats returns the fast-path coverage counters since the last
+// ResetStats.
+func (m *Machine) PathStats() PathStats { return m.paths }
 
 // fetchInst performs the front-end work for fetching one instruction at pc:
 // translation per the engine/style and the iL1 (and L2/DRAM) accesses.
@@ -510,17 +525,19 @@ func (m *Machine) stepGroup() {
 	m.chargeGroup(groupStall, groupUsedTLB)
 }
 
-// bulkGroups retires a run of whole fetch groups on a fast path. The run is
+// bulkGroups retires runs of whole fetch groups on a fast path. A run is
 // the longest prefix of buffered read-ahead steps that is plain — sequential
-// non-CTI, non-stub instructions whose successors stay inside the current
-// virtual page — trimmed to whole groups and to the current Run target. Such
-// a run cannot redirect, cross a page, touch the predictor, or (with the
-// periodic OS-pressure events disabled) mutate the CFR/iTLB under an eager
-// style, so the per-fetch engine work collapses into one counter-only
-// FetchTranslateRun call and the per-slot work reduces to block fills and
-// back-end accounting. Every architectural side effect — cache/TLB state,
-// clocks, statistics, energy — is bit-identical to the scalar path; the lazy
-// VI-VT style still routes iL1 misses through the ordinary OnIL1Miss event in
+// non-CTI, non-stub instructions whose successors stay inside the run's
+// first page — trimmed to whole groups and to the current Run target. Such
+// a run cannot redirect, cross a page or touch the predictor, and (with the
+// periodic OS-pressure events disabled) nothing else touches the iTLB or
+// the CFR while it retires. So the per-fetch engine work collapses into one
+// FetchTranslateRun call: CFR reads for the CFR schemes, one LookupRun for
+// Base's per-fetch lookups, whose only possible walk falls on the run's
+// first fetch. The per-slot work reduces to block fills and back-end
+// accounting. Every architectural side effect — cache/TLB state, clocks,
+// statistics, energy — is bit-identical to the scalar path; the lazy VI-VT
+// style still routes iL1 misses through the ordinary OnIL1Miss event in
 // program order so CFR and iTLB state evolve exactly as they would scalar.
 // Returns false (having changed nothing) when no full group qualifies.
 func (m *Machine) bulkGroups() bool {
@@ -532,10 +549,6 @@ func (m *Machine) bulkGroups() bool {
 		m.stepPos = 0
 	}
 	w := m.cfg.FetchWidth
-	// Under an eager style nothing retired in bulk can refill or invalidate
-	// the CFR, so its frame number is a constant for the whole call. (Unused
-	// under VI-VT, where OnIL1Miss translates at misses.)
-	cfrPFN := m.engine.CFRState().PFN
 	// Loop-invariant hoists: field loads the compiler cannot keep in
 	// registers across the accountMem/bulkBlockFill calls below.
 	stepBuf := m.stepBuf
@@ -582,10 +595,14 @@ func (m *Machine) bulkGroups() bool {
 		if q < w {
 			return did
 		}
-		// The engine's per-fetch work is linear in the count and its qualify
-		// condition depends only on CFR state, which nothing retired in bulk
-		// can change — one call covers the whole run exactly.
-		if !m.engine.FetchTranslateRun(vpn, uint64(q)) {
+		// The engine's qualify condition depends only on CFR state, which
+		// nothing retired in bulk can change, and its per-fetch work is
+		// linear in the count after the first fetch — one call covers the
+		// whole run exactly. The frame number is the run's (unused under
+		// VI-VT, where OnIL1Miss translates at misses), and its stall falls
+		// on the first group, whose first fetch the scalar path charges it to.
+		pfn, stall, ok := m.engine.FetchTranslateRun(vpn, uint64(q))
+		if !ok {
 			return did
 		}
 		// Each group's back-end accounting runs on a register-resident copy
@@ -595,13 +612,14 @@ func (m *Machine) bulkGroups() bool {
 		// latency, with syncBackend's clamp between groups — so the sum is
 		// bit-identical, without a field read-modify-write per slot.
 		for g := 0; g < q; g += w {
-			groupStall := 0
+			groupStall := stall
+			stall = 0
 			bc := m.backCycle
 			for k := 0; k < w; k++ {
 				s := &stepBuf[i+g+k]
 				if blk := uint64(s.PC) >> blockShift; !m.haveBlock || blk != m.lastBlock {
 					m.lastBlock, m.haveBlock = blk, true
-					groupStall += m.bulkBlockFill(s.PC, cfrPFN, false)
+					groupStall += m.bulkBlockFill(s.PC, pfn, false)
 				}
 				// The first instruction after a redirect carries
 				// sequential=false into its (possible) VI-VT miss
@@ -614,11 +632,13 @@ func (m *Machine) bulkGroups() bool {
 				}
 			}
 			m.backCycle = bc
-			m.frontCycle += uint64(1 + groupStall)
-			m.syncBackend()
+			// Under PI-PT only Base's bulk groups consult the iTLB, and
+			// chargeGroup serializes every Base group.
+			m.chargeGroup(groupStall, false)
 		}
 		m.res.Committed += uint64(q)
 		m.totalCommitted += uint64(q)
+		m.paths.BulkCommitted += uint64(q)
 		m.stepPos = i + q
 		m.fetchPC = pc + addr.VAddr(q)*addr.InstBytes
 		did = true
@@ -718,11 +738,10 @@ func (m *Machine) wrongBulkGroup(wp addr.VAddr) int {
 			return 0
 		}
 	}
-	pfn, ok := m.engine.FetchTranslateRunWrong(vpn, uint64(w))
+	pfn, groupStall, ok := m.engine.FetchTranslateRunWrong(vpn, uint64(w))
 	if !ok {
 		return 0
 	}
-	groupStall := 0
 	pc := wp
 	for k := 0; k < w; k++ {
 		if blk := uint64(pc) >> m.il1BlockShift; !m.haveBlock || blk != m.lastBlock {
@@ -735,6 +754,7 @@ func (m *Machine) wrongBulkGroup(wp addr.VAddr) int {
 		pc += addr.InstBytes
 	}
 	m.res.WrongPathFetches += uint64(w)
+	m.paths.BulkWrongPath += uint64(w)
 	m.frontCycle += uint64(1 + groupStall)
 	return w
 }
@@ -904,6 +924,7 @@ type MachineState struct {
 	totalCommitted uint64
 	totalRemaps    uint64
 	res            Result
+	paths          PathStats
 
 	il1  *cache.State
 	dl1  *cache.State
@@ -942,6 +963,7 @@ func (m *Machine) Checkpoint() (*MachineState, bool) {
 		totalCommitted: m.totalCommitted,
 		totalRemaps:    m.totalRemaps,
 		res:            m.res,
+		paths:          m.paths,
 		il1:            m.il1.Snapshot(),
 		dl1:            m.dl1.Snapshot(),
 		l2:             m.l2.Snapshot(),
@@ -1018,5 +1040,6 @@ func (m *Machine) Restore(st *MachineState) error {
 	m.totalCommitted = st.totalCommitted
 	m.totalRemaps = st.totalRemaps
 	m.res = st.res
+	m.paths = st.paths
 	return nil
 }

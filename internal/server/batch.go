@@ -168,15 +168,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // runBatchJob resolves one job: memo/disk hits cost no simulation slot,
 // everything else waits for a slot under the stream's context.
 func (s *Server) runBatchJob(ctx context.Context, rid string, i int, opt sim.Options) BatchRecord {
+	job := s.cfg.Runner.Job(opt)
 	rec := BatchRecord{
 		Index:     i,
-		Key:       s.cfg.Runner.Key(opt),
+		Key:       job.Key,
 		RequestID: rid,
 		Bench:     opt.BenchName(),
 		Scheme:    opt.Scheme.String(),
 		Style:     opt.Style.String(),
 	}
-	if res, ok := s.cfg.Runner.Cached(opt); ok {
+	if res, ok := s.cfg.Runner.CachedJob(job); ok {
 		rec.Cached, rec.Result = true, &res
 		return rec
 	}
@@ -185,7 +186,7 @@ func (s *Server) runBatchJob(ctx context.Context, rid string, i int, opt sim.Opt
 		return rec
 	}
 	defer s.release()
-	res, err := s.cfg.Runner.Result(ctx, opt)
+	res, err := s.cfg.Runner.JobResult(ctx, job)
 	if err != nil {
 		rec.Error = err.Error()
 		return rec

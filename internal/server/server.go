@@ -445,13 +445,14 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	// The key reflects the options as the Runner normalizes them (its
 	// -n/-warmup defaults applied) — the key the result is memoized and
-	// filed on disk under, not a re-derivation from the raw request.
-	key := s.cfg.Runner.Key(opt)
+	// filed on disk under, not a re-derivation from the raw request. They
+	// are hashed once: the memo probe and the run take the resolved job.
+	job := s.cfg.Runner.Job(opt)
 	// Serve settled results without consuming a simulation slot, so a warm
 	// daemon answers cached configurations instantly even while every slot
 	// is busy with cold work.
-	if res, ok := s.cfg.Runner.Cached(opt); ok {
-		writeJSON(w, http.StatusOK, SimResponse{Key: key, Result: res})
+	if res, ok := s.cfg.Runner.CachedJob(job); ok {
+		writeJSON(w, http.StatusOK, SimResponse{Key: job.Key, Result: res})
 		return
 	}
 	ctx, cancel := s.requestContext(r)
@@ -460,12 +461,12 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	res, err := s.cfg.Runner.Result(ctx, opt)
+	res, err := s.cfg.Runner.JobResult(ctx, job)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SimResponse{Key: key, Result: res})
+	writeJSON(w, http.StatusOK, SimResponse{Key: job.Key, Result: res})
 }
 
 // StatsResponse aggregates every counter the service keeps. Metrics is the

@@ -95,10 +95,12 @@ type Options struct {
 	Tech *energy.Tech
 }
 
-// Timing is one run's wall-clock phase breakdown — how long the simulator
-// itself took, not a simulated quantity. It rides along in Result so every
-// caller (CLI, batch stream, disk store) can see where host time went
-// without re-running anything.
+// Timing is one run's wall-clock phase breakdown and fast-path coverage —
+// how long the simulator itself took and which of its code paths did the
+// work, not simulated quantities. It rides along in Result so every caller
+// (CLI, batch stream, disk store) can see where host time went without
+// re-running anything; it is outside the result's identity (store keys,
+// rendered tables and result comparisons ignore it).
 type Timing struct {
 	// SetupSeconds covers workload generation and compilation (or the image
 	// table lookup that replaces them under a WarmPool) and machine
@@ -110,6 +112,12 @@ type Timing struct {
 	// InstPerSec is committed instructions per wall second of the measure
 	// phase — the simulator's own throughput.
 	InstPerSec float64 `json:"inst_per_s"`
+	// BulkCommitted and BulkWrongPath count the measured window's
+	// correct-path instructions and wrong-path fetches that the pipeline's
+	// bulk fast paths retired (pipeline.PathStats). Unlike the wall times
+	// they do not depend on the host.
+	BulkCommitted uint64 `json:"bulk_committed"`
+	BulkWrongPath uint64 `json:"bulk_wrong_path"`
 }
 
 // TotalSeconds is the full wall cost of the run.
@@ -363,6 +371,8 @@ func RunWith(opt Options, pool *WarmPool) (Result, error) {
 	res := b.machine.Run(b.n)
 	timing.MeasureSeconds = res.WallSeconds
 	timing.InstPerSec = res.InstPerSec()
+	paths := b.machine.PathStats()
+	timing.BulkCommitted, timing.BulkWrongPath = paths.BulkCommitted, paths.BulkWrongPath
 	b.meter.AddStubs(res.Stubs)
 	res.EnergyMJ = b.meter.TotalMJ()
 	res.ITLB = b.itlb.Stats()

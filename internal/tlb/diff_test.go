@@ -236,7 +236,12 @@ var fuzzConfigs = []struct {
 
 // runLookupDiff drives one op stream through the production TLB and the
 // reference, failing on the first divergence. data[0] picks the config; each
-// op is two bytes, an opcode and a VPN (mod the config's span).
+// op is two bytes, an opcode and a VPN (mod the config's span). Opcodes
+// 176..239 are LookupRun with n = opcode−175 (1..64), which the reference
+// performs as n single lookups. A second production TLB, scalar, also
+// performs them as n Lookups: LRU stamps and ticks are absolute, so the
+// order the reference checks cannot see one that drifts, and the scalar
+// twin pins every way and tick of the TLB under test to it.
 func runLookupDiff(t *testing.T, data []byte) {
 	if len(data) < 1 {
 		return
@@ -254,21 +259,41 @@ func runLookupDiff(t *testing.T, data []byte) {
 	tl := New(cfg)
 	tl.AttachMeter(meter)
 	ref := newRefTLB(cfg, counterWalk())
+	scalar, scalarWalk := New(cfg), counterWalk()
 	for i := 1; i+1 < len(data); i += 2 {
 		op, vpn := data[i], uint64(data[i+1])%fc.span
 		switch {
-		case op < 240:
+		case op < 176:
+			scalar.Lookup(vpn, scalarWalk)
 			if got, want := tl.Lookup(vpn, walk), ref.lookup(vpn); got != want {
 				t.Fatalf("op %d: Lookup(%d) = %+v, reference %+v", i/2, vpn, got, want)
 			}
+		case op < 240:
+			n := uint64(op) - 175
+			for j := uint64(0); j < n; j++ {
+				scalar.Lookup(vpn, scalarWalk)
+			}
+			got, want := tl.LookupRun(vpn, n, walk), ref.lookup(vpn)
+			if got != want {
+				t.Fatalf("op %d: LookupRun(%d, %d) = %+v, reference's first lookup %+v", i/2, vpn, n, got, want)
+			}
+			for j := uint64(1); j < n; j++ {
+				if r := ref.lookup(vpn); r != (Result{PFN: want.PFN}) {
+					t.Fatalf("op %d: reference lookup %d of %d = %+v, want a level-1 hit on %#x",
+						i/2, j+1, n, r, want.PFN)
+				}
+			}
 		case op < 252:
+			scalar.Invalidate(vpn)
 			if got, want := tl.Invalidate(vpn), ref.invalidate(vpn); got != want {
 				t.Fatalf("op %d: Invalidate(%d) = %v, reference %v", i/2, vpn, got, want)
 			}
 		case op == 252:
+			scalar.Flush()
 			tl.Flush()
 			ref.flush()
 		case op == 253:
+			scalar.ResetStats()
 			tl.ResetStats()
 			ref.resetStats()
 		default:
@@ -286,6 +311,11 @@ func runLookupDiff(t *testing.T, data []byte) {
 			if got, want := recency(tl.levels[li]), ref.levels[li].recency(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("op %d: level %d recency %v, reference %v", i/2, li, got, want)
 			}
+			l, sl := tl.levels[li], scalar.levels[li]
+			if l.lruTick != sl.lruTick || !reflect.DeepEqual(l.ways, sl.ways) {
+				t.Fatalf("op %d: level %d ways or tick (%d) differ from single lookups' (%d)",
+					i/2, li, l.lruTick, sl.lruTick)
+			}
 		}
 	}
 	if !reflect.DeepEqual(meter.Accesses, ref.acc) || !reflect.DeepEqual(meter.Misses, ref.miss) {
@@ -296,13 +326,15 @@ func runLookupDiff(t *testing.T, data []byte) {
 
 // FuzzLookupMatchesReference asserts the memoized, indexed TLB and the naive
 // order-counter reference produce identical Results, Stats and energy-meter
-// counts on arbitrary streams of lookups, invalidations, flushes, statistic
-// resets and snapshot round-trips.
+// counts on arbitrary streams of lookups, bulk lookup runs, invalidations,
+// flushes, statistic resets and snapshot round-trips.
 func FuzzLookupMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 9, 0, 1, 0, 9, 240, 1, 0, 1})
 	f.Add([]byte{1, 0, 0, 0, 8, 0, 0, 0, 16, 0, 8, 255, 0, 0, 0, 0, 16})
 	f.Add([]byte{4, 0, 3, 0, 4, 0, 3, 252, 0, 0, 3, 253, 0, 0, 4})
 	f.Add([]byte{5, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 1, 254, 0, 0, 1, 0, 6})
+	f.Add([]byte{4, 0, 1, 0, 2, 200, 1, 0, 2, 239, 3, 0, 1, 176, 2})
+	f.Add([]byte{5, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 210, 1, 0, 6, 230, 2})
 	f.Fuzz(runLookupDiff)
 }
 

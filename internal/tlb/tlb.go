@@ -264,6 +264,17 @@ func (l *level) lookup(vpn uint64) (uint64, bool) {
 	return 0, false
 }
 
+// hitRun applies k ≥ 1 back-to-back lookups of vpn. The first is a real
+// lookup; a hit leaves vpn in memo slot 0, where each of the other k−1
+// would hit again and only advance the tick and re-stamp the entry, so they
+// collapse into one addition. A miss changes nothing, as k misses would.
+func (l *level) hitRun(vpn, k uint64) {
+	if _, ok := l.lookup(vpn); ok {
+		l.lruTick += k - 1
+		l.ways[l.hotIdx[0]].lru = l.lruTick
+	}
+}
+
 // remember pushes a hit onto the two-slot memo.
 func (l *level) remember(vpn uint64, idx int32) {
 	l.hotVPN[1], l.hotIdx[1] = l.hotVPN[0], l.hotIdx[0]
@@ -413,6 +424,36 @@ func (t *TLB) Lookup(vpn uint64, walk func(vpn uint64) uint64) Result {
 		}
 	}
 	return t.walkFill(vpn, walk, t.serialMissLatency())
+}
+
+// LookupRun performs exactly what n ≥ 1 back-to-back Lookup(vpn) calls
+// would, with one real lookup. That lookup may walk and fill; it always
+// leaves vpn in level 1, so the other n−1 are level-1 hits with no extra
+// latency, charged in bulk: accesses, hits, energy and LRU recency. A serial
+// TLB probes only level 1 for them; a parallel one probes level 2 as well,
+// which ages vpn's entry there if it holds one. It returns the first
+// lookup's Result, whose ExtraCycles is therefore the whole run's stall.
+func (t *TLB) LookupRun(vpn, n uint64, walk func(vpn uint64) uint64) Result {
+	if n == 0 {
+		panic("tlb: LookupRun of zero lookups")
+	}
+	r := t.Lookup(vpn, walk)
+	if n == 1 {
+		return r
+	}
+	k := n - 1
+	for li := range t.levels {
+		if li > 0 && !t.cfg.Parallel {
+			break
+		}
+		t.stats.Accesses[li] += k
+		if t.meter != nil {
+			t.meter.AddAccesses(li, k)
+		}
+		t.levels[li].hitRun(vpn, k)
+	}
+	t.stats.Hits[0] += k
+	return r
 }
 
 func (t *TLB) lookupParallel(vpn uint64, walk func(vpn uint64) uint64) Result {
