@@ -18,7 +18,10 @@ type PAddr uint64
 // InstBytes is the fixed instruction width of the synthetic ISA.
 // Instructions are aligned so a single instruction never crosses a page
 // boundary (an assumption the paper makes explicitly in §3.3.2).
-const InstBytes = 4
+const InstBytes = 1 << InstShift
+
+// InstShift is log2(InstBytes).
+const InstShift = 2
 
 // Geometry captures the page geometry of the machine.
 type Geometry struct {

@@ -204,6 +204,11 @@ func NewEngine(scheme Scheme, style cache.Style, geom addr.Geometry,
 		}
 		itlb.Invalidate(vpn)
 	})
+	// The OS keeps the CFR-resident page pinned (§3.2). The pin test reads
+	// the CFR, so the pinned page is always the CFR's page — after a
+	// refill, a squash's Restore or a warm fork — and Base, whose CFR is
+	// never valid, pins nothing.
+	space.PinWith(func(vpn uint64) bool { return e.cfr.Covers(vpn) })
 	return e
 }
 
@@ -255,8 +260,6 @@ func (e *Engine) lookup(vpn uint64, cause Cause) (uint64, int) {
 		if e.meter != nil {
 			e.meter.AddCFRWrite()
 		}
-		// Keep the OS pin on the CFR-resident page (§3.2).
-		e.space.Pin(vpn)
 	}
 	e.pending = false
 	return r.PFN, r.ExtraCycles

@@ -371,7 +371,7 @@ func TestOSRemapInvalidatesCFR(t *testing.T) {
 	if !space.Pinned(1) {
 		t.Fatal("the CFR page must be pinned")
 	}
-	space.Unpin(1)
+	space.PinWith(nil) // the OS revokes the pin to move the resident page
 	if _, err := space.Remap(1); err != nil {
 		t.Fatal(err)
 	}
@@ -383,6 +383,48 @@ func TestOSRemapInvalidatesCFR(t *testing.T) {
 	want := space.Geometry().Translate(space.Walk(1), pcIn(1, 4))
 	if out.PFN != want {
 		t.Error("post-remap fetch must see the new frame")
+	}
+}
+
+// TestPinFollowsCFR is the regression test for pins that were never
+// released: the pinned page is the CFR's page and no other, as the CFR moves
+// from page A to page B, and after a squash restores A. Remaps are injected
+// only where the OS could take an interrupt, never while a branch is in
+// flight.
+func TestPinFollowsCFR(t *testing.T) {
+	const a, b = 1, 2
+	e, _, space := newEngine(HoA, cache.VIPT)
+	remaps := func(resident, other uint64) {
+		t.Helper()
+		if _, err := space.Remap(resident); err == nil {
+			t.Errorf("remap of the resident page %d must be refused", resident)
+		}
+		if _, err := space.Remap(other); err != nil {
+			t.Errorf("remap of page %d off the CFR: %v", other, err)
+		}
+		if !e.CFRState().Covers(resident) {
+			t.Errorf("the CFR lost page %d", resident)
+		}
+	}
+	space.Walk(b) // map B so that it can be remapped while A is resident
+	e.FetchTranslate(pcIn(a, 0), true, false)
+	remaps(a, b)
+	ck := e.Checkpoint()
+	e.FetchTranslate(pcIn(b, 0), false, true) // the wrong path moves the CFR to B
+	if !space.Pinned(b) || space.Pinned(a) {
+		t.Error("on the wrong path only B, the CFR's page, should be pinned")
+	}
+	e.Restore(ck) // the squash puts A back
+	remaps(a, b)
+	e.FetchTranslate(pcIn(b, 4), false, false) // the correct path moves to B
+	remaps(b, a)
+	if space.Stats().Denied != 3 {
+		t.Errorf("denied remaps = %d, want 3", space.Stats().Denied)
+	}
+	base, _, bspace := newEngine(Base, cache.VIPT)
+	base.FetchTranslate(pcIn(a, 0), true, false)
+	if bspace.Pinned(a) {
+		t.Error("Base keeps no CFR, so it must pin nothing")
 	}
 }
 

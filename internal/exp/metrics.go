@@ -26,6 +26,15 @@ type Metrics struct {
 	PutErrors   *obs.Counter // failed backing writes (dropped, not fatal)
 	InFlight    *obs.Gauge   // claimed configurations not yet settled
 
+	// The fast-path coverage counts, summed over the simulations this
+	// process executed (sim.Timing): committed instructions and wrong-path
+	// fetches in the measured windows, and how many of each the pipeline
+	// retired in plain stretches. They depend on the workload, not the host.
+	Committed     *obs.Counter
+	BulkCommitted *obs.Counter
+	WrongPath     *obs.Counter
+	BulkWrongPath *obs.Counter
+
 	// Stage times every step of a lookup, labeled by the Stage* constants.
 	Stage *obs.HistogramVec
 
@@ -42,6 +51,14 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Coalesced:   reg.Counter("itlb_runner_coalesced_total", "lookups that joined an in-flight simulation"),
 		PutErrors:   reg.Counter("itlb_runner_put_errors_total", "failed backing-store writes (dropped)"),
 		InFlight:    reg.Gauge("itlb_runner_in_flight", "claimed configurations not yet settled"),
+		Committed: reg.Counter("itlb_sim_committed_total",
+			"committed instructions measured by executed simulations"),
+		BulkCommitted: reg.Counter("itlb_sim_bulk_committed_total",
+			"measured committed instructions the pipeline retired in plain stretches"),
+		WrongPath: reg.Counter("itlb_sim_wrong_path_fetches_total",
+			"wrong-path fetches measured by executed simulations"),
+		BulkWrongPath: reg.Counter("itlb_sim_bulk_wrong_path_total",
+			"measured wrong-path fetches the pipeline retired in plain stretches"),
 		Stage: reg.HistogramVec("itlb_runner_stage_seconds",
 			"wall seconds per lookup stage", obs.WideBuckets, "stage"),
 	}

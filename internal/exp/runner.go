@@ -263,9 +263,15 @@ func (r *Runner) toBacking(key string, res sim.Result) {
 }
 
 // observeRun feeds one executed simulation's wall cost into the sim_run
-// stage histogram (whose sum is the Stats.SimWall total).
+// stage histogram (whose sum is the Stats.SimWall total) and its fast-path
+// coverage into the itlb_sim_* counters.
 func (r *Runner) observeRun(res sim.Result) {
-	r.met().simRun.Observe(res.Timing.TotalSeconds())
+	m := r.met()
+	m.simRun.Observe(res.Timing.TotalSeconds())
+	m.Committed.Add(int64(res.Committed))
+	m.BulkCommitted.Add(int64(res.Timing.BulkCommitted))
+	m.WrongPath.Add(int64(res.WrongPathFetches))
+	m.BulkWrongPath.Add(int64(res.Timing.BulkWrongPath))
 }
 
 // Result returns the memoized result for the options, consulting the

@@ -133,7 +133,7 @@ type Inst struct {
 	DataStream uint8
 
 	// Plain caches !Kind.IsCTI() && !BoundaryStub. program.NewImage derives
-	// it for every instruction; the pipeline's bulk fetch path tests it
+	// it for every instruction; the pipeline's plain stretches test it
 	// instead of re-deriving both conditions per instruction. An unset Plain
 	// on instructions built outside NewImage merely keeps those instructions
 	// off the fast path — never an incorrect result.

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
@@ -13,13 +15,14 @@ import (
 	"itlbcfr/internal/isa"
 	"itlbcfr/internal/program"
 	"itlbcfr/internal/tlb"
+	"itlbcfr/internal/trace"
 	"itlbcfr/internal/vm"
 	"itlbcfr/internal/workload"
 )
 
 // scalarOnly hides a source's Batcher/Snapshotter extensions, forcing the
 // machine onto the fully scalar per-instruction path — the reference
-// implementation the bulk fast path must match bit for bit.
+// implementation the plain stretches must match bit for bit.
 type scalarOnly struct{ src program.Source }
 
 func (s scalarOnly) Step() program.Step { return s.src.Step() }
@@ -35,11 +38,13 @@ type stack struct {
 
 func buildStack(t testing.TB, cfg Config, img *program.Image, scheme core.Scheme, scalar bool) *stack {
 	t.Helper()
-	return buildStackITLB(t, cfg, tlb.Mono(32, 32), img, scheme, scalar)
+	return buildStackSource(t, cfg, tlb.Mono(32, 32), img, program.NewExecutor(img, 42, nil), scheme, scalar)
 }
 
-// buildStackITLB is buildStack over the given iTLB geometry.
-func buildStackITLB(t testing.TB, cfg Config, itlbCfg tlb.Config, img *program.Image, scheme core.Scheme, scalar bool) *stack {
+// buildStackSource is buildStack over the given iTLB geometry and
+// correct-path source of img.
+func buildStackSource(t testing.TB, cfg Config, itlbCfg tlb.Config, img *program.Image, src program.Source,
+	scheme core.Scheme, scalar bool) *stack {
 	t.Helper()
 	geom := img.Geom
 	space := vm.New(geom, 1)
@@ -47,7 +52,6 @@ func buildStackITLB(t testing.TB, cfg Config, itlbCfg tlb.Config, img *program.I
 	meter := energy.NewMeter(energy.NewModel(energy.DefaultTech), itlbCfg.EntriesPerLevel(), itlbCfg.AssocPerLevel())
 	itlb.AttachMeter(meter)
 	engine := core.NewEngine(scheme, cfg.IL1Style, geom, itlb, space, meter)
-	var src program.Source = program.NewExecutor(img, 42, nil)
 	if scalar {
 		src = scalarOnly{src}
 	}
@@ -90,15 +94,91 @@ func benchImage(t testing.TB, scheme core.Scheme) *program.Image {
 	return c
 }
 
-// TestBulkPathMatchesScalar pins the bulk fast path (correct-path fetch
-// groups, wrong-path groups, the engine's batched translate calls and
-// Base's LookupRun) to the scalar reference: for every iTLB organization ×
-// scheme × iL1 style the entire Result, engine statistics, iTLB statistics,
-// final iTLB contents and LRU order, and accumulated energy must be
-// identical whether or not the source exposes the batched interface. An
-// unbatched source takes neither bulk path, so the reference side is fully
-// scalar.
+// workloadSource builds fresh, independent correct-path sources of one
+// workload under a scheme: the machine's image and a source walking it.
+type workloadSource func(t testing.TB, scheme core.Scheme) (*program.Image, program.Source)
+
+// mesaSource is the mesa profile under the synthetic executor.
+func mesaSource(t testing.TB, scheme core.Scheme) (*program.Image, program.Source) {
+	img := benchImage(t, scheme)
+	return img, program.NewExecutor(img, 42, nil)
+}
+
+// traceSource replays a trace synthesized from cfg. Trace replay is
+// CTI-dense, so its plain stretches are short and start mid-group.
+func traceSource(cfg trace.SynthConfig) workloadSource {
+	return func(t testing.TB, scheme core.Scheme) (*program.Image, program.Source) {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := trace.SynthesizeTo(&buf, cfg); err != nil {
+			t.Fatal(err)
+		}
+		open := func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(buf.Bytes())), nil }
+		r, err := trace.NewReplay(open, "", addr.DefaultGeometry, scheme.NeedsStubs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Image(), r
+	}
+}
+
+// compareStretches runs a batched and a scalarOnly machine over the same
+// workload and fails on any difference in the Result, engine, iTLB or
+// energy-meter statistics, or in the final iTLB contents and LRU order. It
+// returns the batched side's fast-path counters.
+func compareStretches(t testing.TB, cfg Config, itlbCfg tlb.Config, wl workloadSource, scheme core.Scheme,
+	warm, n uint64) PathStats {
+	t.Helper()
+	img, src := wl(t, scheme)
+	fast := buildStackSource(t, cfg, itlbCfg, img, src, scheme, false)
+	img, src = wl(t, scheme)
+	slow := buildStackSource(t, cfg, itlbCfg, img, src, scheme, true)
+	if fast.m.batcher == nil {
+		t.Fatal("the source should expose the batched interface")
+	}
+	if slow.m.batcher != nil {
+		t.Fatal("scalarOnly wrapper leaked the batched interface")
+	}
+	resFast := fast.run(warm, n)
+	resSlow := slow.run(warm, n)
+	if !reflect.DeepEqual(resFast, resSlow) {
+		t.Errorf("bulk result diverges from scalar:\nbulk:   %+v\nscalar: %+v", resFast, resSlow)
+	}
+	if ef, es := fast.engine.Stats(), slow.engine.Stats(); ef != es {
+		t.Errorf("engine stats diverge:\nbulk:   %+v\nscalar: %+v", ef, es)
+	}
+	if tf, ts := fast.itlb.Stats(), slow.itlb.Stats(); !reflect.DeepEqual(tf, ts) {
+		t.Errorf("iTLB stats diverge:\nbulk:   %+v\nscalar: %+v", tf, ts)
+	}
+	if !reflect.DeepEqual(fast.itlb.Snapshot(), slow.itlb.Snapshot()) {
+		t.Error("final iTLB contents or LRU order diverge")
+	}
+	if !reflect.DeepEqual(fast.meter, slow.meter) {
+		t.Errorf("energy meter counts diverge:\nbulk:   %+v\nscalar: %+v", fast.meter, slow.meter)
+	}
+	if p := slow.m.PathStats(); p != (PathStats{}) {
+		t.Errorf("scalar reference retired work in bulk: %+v", p)
+	}
+	return fast.m.PathStats()
+}
+
+// TestBulkPathMatchesScalar pins the plain stretches (correct-path and
+// wrong-path, the engine's batched translate calls and Base's LookupRun) to
+// the scalar reference: for every workload × iTLB organization × scheme ×
+// iL1 style the entire Result, engine statistics, iTLB statistics, final
+// iTLB contents and LRU order, and energy-meter counts must be identical
+// whether or not the source exposes the batched interface. An unbatched
+// source takes no stretch, so the reference side is fully scalar. mesa's
+// subtests carry no workload prefix; the synthesized trace's carry
+// "trace_".
 func TestBulkPathMatchesScalar(t *testing.T) {
+	workloads := []struct {
+		prefix string
+		src    workloadSource
+	}{
+		{"", mesaSource},
+		{"trace_", traceSource(trace.SynthConfig{Seed: 3, Instructions: 30_000})},
+	}
 	// prefix names the subtests; the default iTLB's carry none.
 	itlbs := []struct {
 		prefix string
@@ -108,49 +188,50 @@ func TestBulkPathMatchesScalar(t *testing.T) {
 		{"serial1+32_", tlb.TwoLevel(1, 1, 32, 32, false)},
 		{"parallel4+32_", tlb.TwoLevel(4, 4, 32, 32, true)},
 	}
-	schemes := []core.Scheme{core.Base, core.OPT, core.HoA, core.SoCA, core.SoLA, core.IA}
 	styles := []cache.Style{cache.VIVT, cache.VIPT, cache.PIPT}
-	for _, it := range itlbs {
-		for _, scheme := range schemes {
-			img := benchImage(t, scheme)
-			for _, style := range styles {
-				t.Run(fmt.Sprintf("%s%s_%s", it.prefix, scheme, style), func(t *testing.T) {
-					cfg := testConfig(style)
-					fast := buildStackITLB(t, cfg, it.cfg, img, scheme, false)
-					slow := buildStackITLB(t, cfg, it.cfg, img, scheme, true)
-					if fast.m.batcher == nil {
-						t.Fatal("executor should expose the batched interface")
-					}
-					if slow.m.batcher != nil {
-						t.Fatal("scalarOnly wrapper leaked the batched interface")
-					}
-					resFast := fast.run(2_000, 20_000)
-					resSlow := slow.run(2_000, 20_000)
-					if !reflect.DeepEqual(resFast, resSlow) {
-						t.Errorf("bulk result diverges from scalar:\nbulk:   %+v\nscalar: %+v", resFast, resSlow)
-					}
-					if ef, es := fast.engine.Stats(), slow.engine.Stats(); ef != es {
-						t.Errorf("engine stats diverge:\nbulk:   %+v\nscalar: %+v", ef, es)
-					}
-					if tf, ts := fast.itlb.Stats(), slow.itlb.Stats(); !reflect.DeepEqual(tf, ts) {
-						t.Errorf("iTLB stats diverge:\nbulk:   %+v\nscalar: %+v", tf, ts)
-					}
-					if !reflect.DeepEqual(fast.itlb.Snapshot(), slow.itlb.Snapshot()) {
-						t.Error("final iTLB contents or LRU order diverge")
-					}
-					if nf, ns := fast.meter.TotalNJ(), slow.meter.TotalNJ(); nf != ns {
-						t.Errorf("energy diverges: bulk %v nJ, scalar %v nJ", nf, ns)
-					}
-					if p := slow.m.PathStats(); p != (PathStats{}) {
-						t.Errorf("scalar reference retired work in bulk: %+v", p)
-					}
-					if p := fast.m.PathStats(); p.BulkCommitted == 0 || p.BulkWrongPath == 0 {
-						t.Errorf("a bulk path retired nothing, so the comparison does not cover it: %+v", p)
-					}
-				})
+	for _, wl := range workloads {
+		for _, it := range itlbs {
+			for _, scheme := range core.Schemes() {
+				for _, style := range styles {
+					t.Run(fmt.Sprintf("%s%s%s_%s", wl.prefix, it.prefix, scheme, style), func(t *testing.T) {
+						p := compareStretches(t, testConfig(style), it.cfg, wl.src, scheme, 2_000, 20_000)
+						if p.BulkCommitted == 0 || p.BulkWrongPath == 0 {
+							t.Errorf("a stretch kind retired nothing, so the comparison does not cover it: %+v", p)
+						}
+					})
+				}
 			}
 		}
 	}
+}
+
+// FuzzStretchesMatchScalar holds the plain stretches to the scalar slots
+// over synthesized traces of arbitrary seed and code footprint, under any
+// scheme, iL1 style and iTLB shape (see compareStretches).
+func FuzzStretchesMatchScalar(f *testing.F) {
+	f.Add(uint64(3), uint8(11), uint16(574), uint8(0), uint8(1), uint8(0))
+	f.Add(uint64(7), uint8(0), uint16(0), uint8(5), uint8(0), uint8(1))
+	f.Add(uint64(11), uint8(30), uint16(2000), uint8(3), uint8(2), uint8(2))
+	f.Add(uint64(1), uint8(2), uint16(100), uint8(2), uint8(1), uint8(3))
+	itlbs := []tlb.Config{
+		tlb.Mono(32, 32),
+		tlb.TwoLevel(1, 1, 32, 32, false),
+		tlb.TwoLevel(4, 4, 32, 32, true),
+		tlb.Mono(4, 4),
+		tlb.Mono(16, 2),
+	}
+	styles := []cache.Style{cache.VIVT, cache.VIPT, cache.PIPT}
+	f.Fuzz(func(t *testing.T, seed uint64, funcs uint8, funcInsts uint16, scheme, style, shape uint8) {
+		cfg := trace.SynthConfig{
+			Seed:         seed,
+			Instructions: 4_000,
+			Functions:    1 + int(funcs)%32,
+			FuncInsts:    66 + int(funcInsts)%2048,
+		}
+		sch := core.Schemes()[int(scheme)%len(core.Schemes())]
+		compareStretches(t, testConfig(styles[int(style)%len(styles)]), itlbs[int(shape)%len(itlbs)],
+			traceSource(cfg), sch, 500, 5_000)
+	})
 }
 
 // TestPathStatsCoverMeasuredWindow pins the fast-path counters to the
@@ -175,10 +256,10 @@ func TestPathStatsCoverMeasuredWindow(t *testing.T) {
 	}
 }
 
-// TestBulkPathDisabledUnderCadence checks the guard that keeps the bulk
-// path — which cannot observe mid-group OS-pressure events — off whenever a
-// periodic cadence is configured, by comparing against the scalar reference
-// under both cadences at once.
+// TestBulkPathDisabledUnderCadence checks the guard that keeps the
+// correct-path stretches — which cannot observe mid-stretch OS-pressure
+// events — off whenever a periodic cadence is configured, by comparing
+// against the scalar reference under both cadences at once.
 func TestBulkPathDisabledUnderCadence(t *testing.T) {
 	img := benchImage(t, core.IA)
 	cfg := testConfig(cache.VIPT)
@@ -274,12 +355,19 @@ func TestCadenceLifetimeInvariance(t *testing.T) {
 // machine restored from a mid-run snapshot (onto a *fresh* stack, with the
 // borrowed engine/iTLB/address-space restored alongside) must produce the
 // byte-identical result the original machine produces when simply allowed
-// to continue.
+// to continue. Under remap pressure that includes which remaps the pinned
+// CFR page defers, so the pin must follow the restored CFR.
 func TestCheckpointForkDeterminism(t *testing.T) {
-	for _, scheme := range []core.Scheme{core.IA, core.OPT} {
-		t.Run(scheme.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		scheme     core.Scheme
+		remapEvery uint64
+	}{{"IA", core.IA, 0}, {"OPT", core.OPT, 0}, {"IA_remap", core.IA, 1_500}} {
+		scheme := tc.scheme
+		t.Run(tc.name, func(t *testing.T) {
 			img := benchImage(t, scheme)
 			cfg := testConfig(cache.VIPT)
+			cfg.RemapEvery = tc.remapEvery
 
 			orig := buildStack(t, cfg, img, scheme, false)
 			orig.m.Run(5_000)
@@ -314,6 +402,10 @@ func TestCheckpointForkDeterminism(t *testing.T) {
 			}
 			if eo, ef := orig.engine.Stats(), fork.engine.Stats(); eo != ef {
 				t.Errorf("engine stats diverge:\ncontinued: %+v\nforked:    %+v", eo, ef)
+			}
+			if tc.remapEvery > 0 && (forked.RemapsDeferred == 0 || forked.RemapsDeferred == forked.Remaps) {
+				t.Errorf("%d of %d remaps deferred; the pinned CFR page should defer some, not all",
+					forked.RemapsDeferred, forked.Remaps)
 			}
 		})
 	}

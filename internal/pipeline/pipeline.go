@@ -151,12 +151,13 @@ type Result struct {
 }
 
 // PathStats counts which code path did the simulator's work: how much of
-// it the bulk fast paths retired. They describe the simulator, not the
+// it the plain stretches retired. They describe the simulator, not the
 // simulated machine, so they stay out of Result, whose every field is the
-// same on the scalar and the bulk path; ResetStats zeroes them with it.
+// same on the scalar slots and the stretches; ResetStats zeroes them with
+// it.
 type PathStats struct {
-	BulkCommitted uint64 // correct-path instructions retired by bulkGroups
-	BulkWrongPath uint64 // wrong-path fetches retired by wrongBulkGroup
+	BulkCommitted uint64 // correct-path instructions retired by commitStretch
+	BulkWrongPath uint64 // wrong-path fetches retired by wrongStretch
 }
 
 // InstPerSec returns the simulator's own throughput for the producing Run
@@ -210,7 +211,7 @@ type Machine struct {
 	eager         bool                    // IL1Style is VIPT or PIPT (translate at fetch)
 	pipt          bool                    // IL1Style is PIPT
 	schemeBase    bool                    // engine scheme is core.Base
-	noCadence     bool                    // no periodic OS-pressure events configured
+	bulkCommit    bool                    // batched source and no OS-pressure cadence: commitStretch may run
 	hasDataCFR    bool                    // cfg.DataCFR (§5 extension enabled)
 	il1BlockShift uint                    // log2(IL1.BlockBytes)
 	invWidth      float64                 // 1 / min(IssueWidth, CommitWidth)
@@ -285,7 +286,6 @@ func New(cfg Config, img *program.Image, ex program.Source,
 	m.eager = cfg.IL1Style == cache.VIPT || cfg.IL1Style == cache.PIPT
 	m.pipt = cfg.IL1Style == cache.PIPT
 	m.schemeBase = engine.Scheme() == core.Base
-	m.noCadence = cfg.ContextSwitchEvery == 0 && cfg.RemapEvery == 0
 	m.hasDataCFR = cfg.DataCFR
 	m.il1BlockShift = uint(bits.TrailingZeros64(uint64(cfg.IL1.BlockBytes)))
 	width := cfg.IssueWidth
@@ -301,6 +301,7 @@ func New(cfg Config, img *program.Image, ex program.Source,
 		m.batcher = b
 		m.stepBuf = make([]program.Step, stepBufLen)
 		m.stepPos = stepBufLen // empty: first nextStep refills
+		m.bulkCommit = cfg.ContextSwitchEvery == 0 && cfg.RemapEvery == 0
 	}
 	m.snap, _ = ex.(program.Snapshotter)
 	m.fetchPC = img.Entry
@@ -374,50 +375,21 @@ func (m *Machine) PathStats() PathStats { return m.paths }
 // fetchInst performs the front-end work for fetching one instruction at pc:
 // translation per the engine/style and the iL1 (and L2/DRAM) accesses.
 // It returns the stall cycles charged to this fetch group and whether the
-// iTLB was consulted.
+// eager styles' fetch-time translation consulted the iTLB (what PI-PT
+// serializes on; the lazy style's miss-time lookups are charged as stall).
 func (m *Machine) fetchInst(pc addr.VAddr, wrongPath bool) (stall int, usedTLB bool) {
-	var pa addr.PAddr
+	var pfn uint64
 	if m.eager { // VIPT/PIPT translate at fetch
 		out := m.engine.FetchTranslate(pc, m.sequential, wrongPath)
-		stall += out.StallCycles
-		usedTLB = out.UsedTLB
-		pa = out.PFN
+		stall, usedTLB = out.StallCycles, out.UsedTLB
+		pfn = m.geom.PFNOf(out.PFN)
 	} else { // VIVT
 		m.engine.OnFetchObserved(pc)
 	}
-
 	// One iL1 probe per block touched.
-	blk := uint64(pc) >> m.il1BlockShift
-	if m.haveBlock && blk == m.lastBlock {
-		return stall, usedTLB
-	}
-	m.lastBlock, m.haveBlock = blk, true
-
-	// VIVT indexes and tags virtually, VIPT indexes virtually and tags
-	// physically, PIPT does both physically.
-	idx, tag := uint64(pc), uint64(pc)
-	if m.eager {
-		tag = uint64(pa)
-		if m.pipt {
-			idx = uint64(pa)
-		}
-	}
-	r := m.il1.Access(idx, tag, false)
-	if r.Hit {
-		return stall, usedTLB
-	}
-
-	// iL1 miss: for VI-VT the translation happens now (Figure 1(c));
-	// eager styles already have the physical address.
-	if !m.eager {
-		out := m.engine.OnIL1Miss(pc, m.sequential, wrongPath)
-		stall += out.StallCycles
-		usedTLB = usedTLB || out.UsedTLB
-		pa = out.PFN
-	}
-	stall += m.cfg.L2.LatencyCycles
-	if lr := physAccess(m.l2, pa, false); !lr.Hit {
-		stall += m.cfg.DRAMLatency
+	if blk := uint64(pc) >> m.il1BlockShift; !m.haveBlock || blk != m.lastBlock {
+		m.lastBlock, m.haveBlock = blk, true
+		stall += m.blockFill(pc, pfn, wrongPath)
 	}
 	return stall, usedTLB
 }
@@ -431,15 +403,20 @@ func (m *Machine) nextStep() *program.Step {
 		return &m.one
 	}
 	if m.stepPos == stepBufLen {
-		if m.snap != nil {
-			m.srcState = m.snap.SnapshotState()
-		}
-		m.batcher.StepN(m.stepBuf)
-		m.stepPos = 0
+		m.refill()
 	}
 	s := &m.stepBuf[m.stepPos]
 	m.stepPos++
 	return s
+}
+
+// refill pulls the next stepBufLen steps into the empty read-ahead buffer.
+func (m *Machine) refill() {
+	if m.snap != nil {
+		m.srcState = m.snap.SnapshotState()
+	}
+	m.batcher.StepN(m.stepBuf)
+	m.stepPos = 0
 }
 
 // chargeGroup closes one fetch group on the front-end clock: the base cycle,
@@ -456,18 +433,25 @@ func (m *Machine) chargeGroup(groupStall int, groupUsedTLB bool) {
 	m.syncBackend()
 }
 
-// stepGroup fetches and executes one correct-path fetch group.
+// stepGroup fetches and executes one correct-path fetch group. Each slot
+// first offers the plain stretch that starts there to commitStretch; a CTI,
+// a stub or a stretch the engine refuses runs the scalar slot below, and the
+// next slot tries again.
 func (m *Machine) stepGroup() {
-	if m.batcher != nil && m.noCadence && m.bulkGroups() {
-		return
-	}
 	groupStall := 0
 	groupUsedTLB := false
-	redirect := false
-
-	for slot := 0; slot < m.cfg.FetchWidth && !redirect; slot++ {
+	w := m.cfg.FetchWidth
+	for slot := 0; slot < w; slot++ {
 		if m.res.Committed >= m.runTarget {
 			break
+		}
+		// The Plain test up front keeps the call off CTI slots.
+		if m.bulkCommit && (m.stepPos == stepBufLen || m.stepBuf[m.stepPos].Plain) {
+			if n, st := m.commitStretch(w - slot); n > 0 {
+				groupStall += st
+				slot += n - 1
+				continue
+			}
 		}
 		pc := m.fetchPC
 		s := m.nextStep()
@@ -499,7 +483,7 @@ func (m *Machine) stepGroup() {
 			if s.Taken {
 				// Predicted-taken redirect ends the group.
 				m.sequential = false
-				redirect = true
+				break
 			}
 			continue
 		}
@@ -525,130 +509,97 @@ func (m *Machine) stepGroup() {
 	m.chargeGroup(groupStall, groupUsedTLB)
 }
 
-// bulkGroups retires runs of whole fetch groups on a fast path. A run is
-// the longest prefix of buffered read-ahead steps that is plain — sequential
-// non-CTI, non-stub instructions whose successors stay inside the run's
-// first page — trimmed to whole groups and to the current Run target. Such
-// a run cannot redirect, cross a page or touch the predictor, and (with the
-// periodic OS-pressure events disabled) nothing else touches the iTLB or
-// the CFR while it retires. So the per-fetch engine work collapses into one
-// FetchTranslateRun call: CFR reads for the CFR schemes, one LookupRun for
-// Base's per-fetch lookups, whose only possible walk falls on the run's
-// first fetch. The per-slot work reduces to block fills and back-end
-// accounting. Every architectural side effect — cache/TLB state, clocks,
-// statistics, energy — is bit-identical to the scalar path; the lazy VI-VT
-// style still routes iL1 misses through the ordinary OnIL1Miss event in
-// program order so CFR and iTLB state evolve exactly as they would scalar.
-// Returns false (having changed nothing) when no full group qualifies.
-func (m *Machine) bulkGroups() bool {
-	if m.stepPos == stepBufLen {
-		if m.snap != nil {
-			m.srcState = m.snap.SnapshotState()
-		}
-		m.batcher.StepN(m.stepBuf)
-		m.stepPos = 0
-	}
-	w := m.cfg.FetchWidth
-	// Loop-invariant hoists: field loads the compiler cannot keep in
-	// registers across the accountMem/bulkBlockFill calls below.
-	stepBuf := m.stepBuf
-	invWidth := m.invWidth
-	blockShift := m.il1BlockShift
-	did := false
-	for {
-		avail := stepBufLen - m.stepPos
-		if remain := m.runTarget - m.res.Committed; uint64(avail) > remain {
-			avail = int(remain)
-		}
-		if avail < w {
-			return did
-		}
-		i := m.stepPos
-		pc := m.fetchPC
-		if stepBuf[i].PC != pc {
-			// Machine and buffer disagree; the scalar path owns the desync
-			// panic.
-			return did
-		}
-		vpn := m.geom.VPN(pc)
-		// Qualify a whole page-bounded run of plain steps before touching any
-		// state. The Source contract pins each step's PC to the previous
-		// step's Next and every plain step's Next to PC+InstBytes, so a run
-		// of plain steps starting at pc is w·G sequential instructions; its
-		// successors form the contiguous range pc+IB..pc+n·IB, which stays in
-		// pc's page iff the endpoint does (pages are power-of-two aligned).
-		// The per-slot PC/Next/VPN tests therefore collapse to one run-length
-		// bound plus a per-slot plain bit.
-		n := avail
-		if lim := int((((vpn + 1) << m.geom.PageBits) - 1 - uint64(pc)) / addr.InstBytes); n > lim {
-			n = lim
-		}
-		n -= n % w
-		if n < w {
-			return did
-		}
-		q := 0
-		for q < n && stepBuf[i+q].Plain {
-			q++
-		}
-		q -= q % w
-		if q < w {
-			return did
-		}
-		// The engine's qualify condition depends only on CFR state, which
-		// nothing retired in bulk can change, and its per-fetch work is
-		// linear in the count after the first fetch — one call covers the
-		// whole run exactly. The frame number is the run's (unused under
-		// VI-VT, where OnIL1Miss translates at misses), and its stall falls
-		// on the first group, whose first fetch the scalar path charges it to.
-		pfn, stall, ok := m.engine.FetchTranslateRun(vpn, uint64(q))
-		if !ok {
-			return did
-		}
-		// Each group's back-end accounting runs on a register-resident copy
-		// of the clock (bc), written back once per group: the same float
-		// additions in the same order as the scalar path — invWidth per
-		// instruction, never w·invWidth, interleaved with each memory op's
-		// latency, with syncBackend's clamp between groups — so the sum is
-		// bit-identical, without a field read-modify-write per slot.
-		for g := 0; g < q; g += w {
-			groupStall := stall
-			stall = 0
-			bc := m.backCycle
-			for k := 0; k < w; k++ {
-				s := &stepBuf[i+g+k]
-				if blk := uint64(s.PC) >> blockShift; !m.haveBlock || blk != m.lastBlock {
-					m.lastBlock, m.haveBlock = blk, true
-					groupStall += m.bulkBlockFill(s.PC, pfn, false)
-				}
-				// The first instruction after a redirect carries
-				// sequential=false into its (possible) VI-VT miss
-				// attribution, exactly like the scalar path; every later one
-				// is sequential.
-				m.sequential = true
-				bc += invWidth
-				if s.Kind.IsMem() {
-					bc = m.accountMem(s, bc)
-				}
-			}
-			m.backCycle = bc
-			// Under PI-PT only Base's bulk groups consult the iTLB, and
-			// chargeGroup serializes every Base group.
-			m.chargeGroup(groupStall, false)
-		}
-		m.res.Committed += uint64(q)
-		m.totalCommitted += uint64(q)
-		m.paths.BulkCommitted += uint64(q)
-		m.stepPos = i + q
-		m.fetchPC = pc + addr.VAddr(q)*addr.InstBytes
-		did = true
-	}
+// instsToPageEnd returns how many instruction slots lie from pc to the end
+// of its page, pc's own included.
+func (m *Machine) instsToPageEnd(pc addr.VAddr) int {
+	return int((m.geom.PageBytes() - m.geom.Offset(pc)) / addr.InstBytes)
 }
 
-// bulkBlockFill charges one iL1 block probe (and any L2/DRAM fill) on the
-// bulk path. Eager styles already hold the translation (pfn); the lazy style
-// translates at the miss through the ordinary OnIL1Miss event.
-func (m *Machine) bulkBlockFill(pc addr.VAddr, pfn uint64, wrong bool) int {
+// commitStretch retires the plain stretch of buffered correct-path steps
+// that starts at the current slot: the longest run of sequential non-CTI,
+// non-stub steps, bounded by room (the group's remaining slots), by the step
+// buffer, by the Run target and by the page. It qualifies on the steps' own
+// Plain bits, never the image's: a trace's wrap step is a synthetic jump at
+// a PC whose image instruction may be plain.
+//
+// Such a stretch cannot redirect, cross a page or touch the predictor, and
+// (with the periodic OS-pressure events disabled) nothing else touches the
+// iTLB or the CFR while it retires, so its per-fetch engine work is one
+// FetchTranslateRun call: CFR reads for the CFR schemes, one LookupRun for
+// Base, whose only possible walk falls on the first fetch. What remains per
+// slot is the iL1 block fill and the back-end accounting, bit-identical to
+// the scalar slots; the lazy VI-VT style still routes iL1 misses through
+// the ordinary OnIL1Miss event in program order. It returns the stretch's
+// length and stall cycles; 0 means nothing changed and the slot runs
+// scalar.
+func (m *Machine) commitStretch(room int) (n, stall int) {
+	if m.stepPos == stepBufLen {
+		m.refill()
+	}
+	buf := m.stepBuf[m.stepPos:]
+	// The Source contract pins each step's PC to the previous step's Next
+	// and every plain step's Next to PC+InstBytes, so a plain stretch
+	// starting at pc is sequential, and every successor stays in pc's page
+	// (no crossing statistic to keep) when the page's last slot is left out.
+	pc := m.fetchPC
+	room = min(room, len(buf), m.instsToPageEnd(pc)-1)
+	if remain := m.runTarget - m.res.Committed; uint64(room) > remain {
+		room = int(remain)
+	}
+	for n < room && buf[n].Plain {
+		n++
+	}
+	if n == 0 || buf[0].PC != pc {
+		// Not plain, or machine and buffer disagree (the scalar slot owns
+		// the desync panic).
+		return 0, 0
+	}
+	// The engine's qualify condition depends only on CFR state, which
+	// nothing in the stretch can change, and its per-fetch work is linear in
+	// the count after the first fetch, so one call covers the stretch
+	// exactly. Its stall is the first fetch's, which the group absorbs
+	// either way.
+	pfn, stall, ok := m.engine.FetchTranslateRun(m.geom.VPN(pc), uint64(n))
+	if !ok {
+		return 0, 0
+	}
+	// The back-end clock stays in a register (bc) for the whole stretch:
+	// the same float additions in the same order as accountCommit —
+	// invWidth per instruction, never n·invWidth, interleaved with each
+	// memory op's latency — so the sum is bit-identical. syncBackend's
+	// clamp runs only between groups, and a stretch never spans two.
+	invWidth, blockShift := m.invWidth, m.il1BlockShift
+	bc := m.backCycle
+	for k := range buf[:n] {
+		s := &buf[k]
+		if blk := uint64(s.PC) >> blockShift; !m.haveBlock || blk != m.lastBlock {
+			m.lastBlock, m.haveBlock = blk, true
+			stall += m.blockFill(s.PC, pfn, false)
+		}
+		// The first instruction after a redirect carries sequential=false
+		// into its (possible) VI-VT miss attribution, exactly like the
+		// scalar slot; every later one is sequential.
+		m.sequential = true
+		bc += invWidth
+		if s.Kind.IsMem() {
+			bc = m.accountMem(s, bc)
+		}
+	}
+	m.backCycle = bc
+	m.res.Committed += uint64(n)
+	m.totalCommitted += uint64(n)
+	m.paths.BulkCommitted += uint64(n)
+	m.stepPos += n
+	m.fetchPC = pc + addr.VAddr(n)*addr.InstBytes
+	return n, stall
+}
+
+// blockFill charges the iL1 probe of the block holding pc (and any L2/DRAM
+// fill) and returns its stall cycles. VI-VT indexes and tags virtually,
+// VI-PT indexes virtually and tags physically, PI-PT does both physically.
+// Eager styles already hold the translation (pfn); under the lazy style a
+// miss translates now (Figure 1(c)), through the ordinary OnIL1Miss event.
+func (m *Machine) blockFill(pc addr.VAddr, pfn uint64, wrong bool) int {
 	if m.eager {
 		pa := m.geom.Translate(pfn, pc)
 		idx := uint64(pc)
@@ -680,23 +631,27 @@ func (m *Machine) bulkBlockFill(pc addr.VAddr, pfn uint64, wrong bool) int {
 // and iL1, and perturb the predictor's speculative structures — Predict
 // pushes and pops the RAS and touches BTB LRU — but never reach resolution,
 // so direction counters and BTB contents are not trained by them (matching
-// hardware, where bimodal/BTB updates happen at branch resolution).
+// hardware, where bimodal/BTB updates happen at branch resolution). As on
+// the correct path, each slot of a batched machine first offers its plain
+// stretch to wrongStretch, and an unbatched source runs the scalar slots
+// end to end.
 func (m *Machine) runWrongPath(start addr.VAddr, penalty uint64) {
 	deadline := m.frontCycle + penalty
 	wp := start
 	m.sequential = false
 	m.haveBlock = false
+	w := m.cfg.FetchWidth
 	for m.frontCycle < deadline {
-		// Like the correct path, the bulk wrong path serves batched sources
-		// only, so an unbatched source runs the scalar reference end to end.
-		if m.batcher != nil {
-			if n := m.wrongBulkGroup(wp); n > 0 {
-				wp += addr.VAddr(n) * addr.InstBytes
-				continue
-			}
-		}
 		groupStall := 0
-		for slot := 0; slot < m.cfg.FetchWidth; slot++ {
+		for slot := 0; slot < w; slot++ {
+			if run := m.img.PlainRun(wp); run > 0 && m.batcher != nil {
+				if n, st := m.wrongStretch(wp, min(run, w-slot)); n > 0 {
+					groupStall += st
+					wp += addr.VAddr(n) * addr.InstBytes
+					slot += n - 1
+					continue
+				}
+			}
 			in := m.img.At(wp)
 			st, _ := m.fetchInst(wp, true)
 			groupStall += st
@@ -719,44 +674,37 @@ func (m *Machine) runWrongPath(start addr.VAddr, penalty uint64) {
 	}
 }
 
-// wrongBulkGroup retires one whole wrong-path fetch group on the fast path:
-// FetchWidth sequential non-CTI instructions inside one page, with the
-// per-fetch engine work batched by FetchTranslateRunWrong. It mirrors one
-// iteration of runWrongPath's scalar loop exactly — counters, cache and
-// CFR/iTLB state, stall charges — and returns 0 (having changed nothing)
-// when the group is not plain or the engine cannot batch it.
-func (m *Machine) wrongBulkGroup(wp addr.VAddr) int {
-	w := m.cfg.FetchWidth
-	vpn := m.geom.VPN(wp)
-	if m.geom.VPN(wp+addr.VAddr(w-1)*addr.InstBytes) != vpn {
-		return 0
-	}
-	for k := 0; k < w; k++ {
-		// Stubs are Jumps, so Plain here is exactly the scalar loop's
-		// IsCTI test.
-		if !m.img.At(wp + addr.VAddr(k)*addr.InstBytes).Plain {
-			return 0
-		}
-	}
-	pfn, groupStall, ok := m.engine.FetchTranslateRunWrong(vpn, uint64(w))
+// wrongStretch retires the plain stretch of wrong-path fetches that starts
+// at wp: run fetches (the image's plain run there, which never leaves the
+// image, bounded by the group's remaining slots) cut at wp's page end, with
+// the per-fetch engine work batched by FetchTranslateRunWrong. It mirrors
+// those scalar slots exactly — counters, cache and CFR/iTLB state, stall
+// charges — and returns the stretch's length and stall cycles; 0 means
+// nothing changed and the slot runs scalar. Stubs are Jumps, so the image's
+// Plain bits are exactly the scalar slot's IsCTI test.
+func (m *Machine) wrongStretch(wp addr.VAddr, run int) (n, stall int) {
+	n = min(run, m.instsToPageEnd(wp))
+	pfn, stall, ok := m.engine.FetchTranslateRunWrong(m.geom.VPN(wp), uint64(n))
 	if !ok {
-		return 0
+		return 0, 0
 	}
-	pc := wp
-	for k := 0; k < w; k++ {
-		if blk := uint64(pc) >> m.il1BlockShift; !m.haveBlock || blk != m.lastBlock {
+	// The fetches are sequential, so only the first one of each iL1 block
+	// can probe, and only the stretch's first fetch can carry
+	// sequential=false into a VI-VT miss.
+	blockShift := m.il1BlockShift
+	end := wp + addr.VAddr(n)*addr.InstBytes
+	for pc := wp; pc < end; {
+		blk := uint64(pc) >> blockShift
+		if !m.haveBlock || blk != m.lastBlock {
 			m.lastBlock, m.haveBlock = blk, true
-			groupStall += m.bulkBlockFill(pc, pfn, true)
+			stall += m.blockFill(pc, pfn, true)
 		}
-		// Match the scalar loop's attribution: only the group's first
-		// instruction can carry sequential=false into a VI-VT miss.
 		m.sequential = true
-		pc += addr.InstBytes
+		pc = addr.VAddr((blk + 1) << blockShift)
 	}
-	m.res.WrongPathFetches += uint64(w)
-	m.paths.BulkWrongPath += uint64(w)
-	m.frontCycle += uint64(1 + groupStall)
-	return w
+	m.res.WrongPathFetches += uint64(n)
+	m.paths.BulkWrongPath += uint64(n)
+	return n, stall
 }
 
 // accountCommit charges the back end for one committed instruction and
@@ -791,8 +739,8 @@ func (m *Machine) accountCommit(s *program.Step) {
 
 // accountMem charges one memory instruction: dTLB (or data CFR) and the
 // dL1/L2/DRAM hierarchy, with MLP-scaled exposed latency. The back-end clock
-// is threaded through by value (bc in, updated bc out) so the bulk path can
-// keep it in a register across a whole fetch group's memory ops instead of
+// is threaded through by value (bc in, updated bc out) so a stretch can
+// keep it in a register across all its memory ops instead of
 // re-reading and re-writing the field per op; the float additions happen in
 // exactly the order the clock field would have seen them, so the sum is
 // bit-identical. Translation layering: the data CFR (when enabled) is

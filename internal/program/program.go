@@ -14,6 +14,7 @@ package program
 
 import (
 	"fmt"
+	"math/bits"
 
 	"itlbcfr/internal/addr"
 	"itlbcfr/internal/isa"
@@ -33,16 +34,30 @@ type Image struct {
 	// nop backs At() for addresses outside the image (reachable only by
 	// wrong-path fetch).
 	nop isa.Inst
+
+	// plainRun[i] is the number of consecutive Plain instructions starting
+	// at Code[i], saturating at 255 (the pipeline's wrong-path fetch reads
+	// it to batch a stretch of plain fetches).
+	plainRun []uint8
 }
 
 // NewImage wraps code into an image. Entry defaults to Base. The derived
-// per-instruction Plain bit is (re)computed here so every constructor path
-// agrees with the Kind/BoundaryStub fields it summarizes.
+// per-instruction Plain bit and the plain-run lengths are (re)computed here
+// so every constructor path agrees with the Kind/BoundaryStub fields they
+// summarize.
 func NewImage(name string, base addr.VAddr, geom addr.Geometry, code []isa.Inst) *Image {
-	for i := range code {
+	run := make([]uint8, len(code))
+	next := 0 // plain run length starting at code[i+1]
+	for i := len(code) - 1; i >= 0; i-- {
 		code[i].Plain = !code[i].Kind.IsCTI() && !code[i].BoundaryStub
+		if !code[i].Plain {
+			next = 0
+		} else if next < 255 {
+			next++
+		}
+		run[i] = uint8(next)
 	}
-	im := &Image{Name: name, Base: base, Code: code, Geom: geom, Entry: base}
+	im := &Image{Name: name, Base: base, Code: code, Geom: geom, Entry: base, plainRun: run}
 	im.nop.Plain = true
 	return im
 }
@@ -58,14 +73,32 @@ func (im *Image) Contains(pc addr.VAddr) bool {
 	return pc >= im.Base && pc < im.End() && (pc-im.Base)%addr.InstBytes == 0
 }
 
+// index returns pc's instruction index. Rotating the byte offset right by
+// addr.InstShift moves a misaligned offset's low bits to the top, and pc
+// below Base wraps around, so every address that is not an instruction of
+// the image yields an index past len(Code): callers need one bounds check.
+func (im *Image) index(pc addr.VAddr) uint64 {
+	return bits.RotateLeft64(uint64(pc-im.Base), -addr.InstShift)
+}
+
 // At returns the instruction at pc. Addresses outside the image decode as a
 // harmless IntALU so wrong-path fetch beyond the image never faults; the
 // returned pointer must be treated as read-only.
 func (im *Image) At(pc addr.VAddr) *isa.Inst {
-	if !im.Contains(pc) {
-		return &im.nop
+	if i := im.index(pc); i < uint64(len(im.Code)) {
+		return &im.Code[i]
 	}
-	return &im.Code[addr.InstIndex(im.Base, pc)]
+	return &im.nop
+}
+
+// PlainRun returns how many consecutive Plain instructions of the image
+// start at pc (at most 255): 0 when pc's instruction is not plain or pc is
+// not an instruction of the image. The run never extends past the image.
+func (im *Image) PlainRun(pc addr.VAddr) int {
+	if i := im.index(pc); i < uint64(len(im.plainRun)) {
+		return int(im.plainRun[i])
+	}
+	return 0
 }
 
 // Pages returns the number of virtual pages the image spans.
@@ -113,7 +146,7 @@ type Step struct {
 	PC    addr.VAddr
 	Inst  *isa.Inst
 	Taken bool     // CTIs: whether control transferred
-	Kind  isa.Kind // copy of Inst.Kind: the pipeline's bulk path reads the
+	Kind  isa.Kind // copy of Inst.Kind: the pipeline's stretches read the
 	// kind and plain bits per slot, and the copies keep that read inside the
 	// sequentially written step buffer instead of chasing Inst into a code
 	// image that may be far larger than the L1 cache.

@@ -49,6 +49,56 @@ func TestAtOutOfRangeIsNop(t *testing.T) {
 	}
 }
 
+// TestPlainRunMatchesNaiveScan checks the image's plain-run lengths
+// against a direct scan of the Plain bits at every instruction, over a code
+// mix with BOUNDARY stubs, a plain last instruction and a plain run longer
+// than the 255 the table saturates at; and checks that addresses outside
+// the image or misaligned give 0 while At gives the nop.
+func TestPlainRunMatchesNaiveScan(t *testing.T) {
+	base := addr.VAddr(0x40_0000)
+	code := make([]isa.Inst, 1500)
+	for i := range code {
+		code[i] = isa.Inst{Kind: isa.IntALU}
+		switch {
+		case i > 600 && i < 1200: // plain runs of 414 and 184
+			code[i] = isa.Inst{Kind: isa.Load}
+		case i%97 == 13:
+			code[i] = isa.Inst{Kind: isa.CondBranch, Target: base}
+		case i%211 == 7:
+			code[i] = isa.Inst{Kind: isa.Jump, Target: base, BoundaryStub: true}
+		}
+	}
+	code[1015] = isa.Inst{Kind: isa.IntALU, BoundaryStub: true} // a stub is never plain
+	im := NewImage("runs", base, addr.DefaultGeometry, code)
+	saturated := false
+	for i := range code {
+		naive := 0
+		for j := i; j < len(code) && !code[j].Kind.IsCTI() && !code[j].BoundaryStub; j++ {
+			naive++
+		}
+		if naive > 255 {
+			naive, saturated = 255, true
+		}
+		if got := im.PlainRun(addr.InstAddr(base, i)); got != naive {
+			t.Fatalf("PlainRun at index %d = %d, want %d", i, got, naive)
+		}
+	}
+	if !saturated {
+		t.Error("the code mix never reached the 255 cap")
+	}
+	if got := im.PlainRun(addr.InstAddr(base, len(code)-1)); got != 1 {
+		t.Errorf("PlainRun at the plain last instruction = %d, want 1", got)
+	}
+	for _, pc := range []addr.VAddr{base - 4, im.End(), im.End() + 4096, base + 2, base + 4*700 + 1, 0, ^addr.VAddr(0)} {
+		if got := im.PlainRun(pc); got != 0 {
+			t.Errorf("PlainRun(%#x) = %d, want 0 outside the image or misaligned", uint64(pc), got)
+		}
+		if in := im.At(pc); in != &im.nop {
+			t.Errorf("At(%#x) should decode as the nop", uint64(pc))
+		}
+	}
+}
+
 func TestValidateCatchesBadTargets(t *testing.T) {
 	im := tinyLoop(0.5)
 	im.Code[3].Target = im.End() + 4

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"itlbcfr/internal/obs"
+	"itlbcfr/internal/sim"
 )
 
 // scrape fetches /metrics and parses it into series → value.
@@ -75,6 +76,51 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The scrape observes itself: its own request is the one in flight.
 	if m2["itlb_http_in_flight"] != 1 {
 		t.Errorf("itlb_http_in_flight = %g during the scrape, want 1", m2["itlb_http_in_flight"])
+	}
+}
+
+// TestSimCoverageCounters: a /v1/sim miss adds its simulation's
+// fast-path coverage to the itlb_sim_* counters, and a memo hit, which
+// simulates nothing, leaves them alone.
+func TestSimCoverageCounters(t *testing.T) {
+	s, _ := testServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	series := []string{
+		"itlb_sim_committed_total",
+		"itlb_sim_bulk_committed_total",
+		"itlb_sim_wrong_path_fetches_total",
+		"itlb_sim_bulk_wrong_path_total",
+	}
+	const body = `{"bench":"mesa","scheme":"Base"}`
+	before := scrape(t, ts)
+	code, b := postSim(t, ts, body)
+	if code != http.StatusOK {
+		t.Fatalf("sim = %d: %s", code, b)
+	}
+	var resp struct {
+		Result sim.Result `json:"result"`
+	}
+	if err := json.Unmarshal(b, &resp); err != nil {
+		t.Fatal(err)
+	}
+	res := resp.Result
+	miss := scrape(t, ts)
+	want := []float64{float64(res.Committed), float64(res.Timing.BulkCommitted),
+		float64(res.WrongPathFetches), float64(res.Timing.BulkWrongPath)}
+	for i, name := range series {
+		if got := miss[name] - before[name]; got != want[i] || got <= 0 {
+			t.Errorf("a miss moved %s by %g, want the result's %g (> 0)", name, got, want[i])
+		}
+	}
+	if code, b := postSim(t, ts, body); code != http.StatusOK {
+		t.Fatalf("repeat sim = %d: %s", code, b)
+	}
+	hit := scrape(t, ts)
+	for _, name := range series {
+		if hit[name] != miss[name] {
+			t.Errorf("a memo hit moved %s from %g to %g", name, miss[name], hit[name])
+		}
 	}
 }
 

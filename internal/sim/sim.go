@@ -113,8 +113,8 @@ type Timing struct {
 	// phase — the simulator's own throughput.
 	InstPerSec float64 `json:"inst_per_s"`
 	// BulkCommitted and BulkWrongPath count the measured window's
-	// correct-path instructions and wrong-path fetches that the pipeline's
-	// bulk fast paths retired (pipeline.PathStats). Unlike the wall times
+	// correct-path instructions and wrong-path fetches that the pipeline
+	// retired in plain stretches (pipeline.PathStats). Unlike the wall times
 	// they do not depend on the host.
 	BulkCommitted uint64 `json:"bulk_committed"`
 	BulkWrongPath uint64 `json:"bulk_wrong_path"`

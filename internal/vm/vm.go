@@ -1,6 +1,6 @@
 // Package vm models the virtual-memory substrate: a per-address-space page
 // table with a scattering frame allocator, and the small OS contract the
-// paper's §3.2 requires — the page whose translation lives in the CFR can be
+// paper's §3.2 requires — the page whose translation lives in the CFR is
 // pinned, and remapping or evicting a page invalidates both the TLBs and the
 // CFR through registered hooks.
 package vm
@@ -19,12 +19,14 @@ import (
 // accidentally uses a virtual page number where a physical frame is required
 // will immediately disagree with the page table and fail tests.
 type AddressSpace struct {
-	geom   addr.Geometry
-	pages  map[uint64]uint64
-	pinned map[uint64]bool
-	asid   uint64
-	salt   uint64
-	next   uint64
+	geom  addr.Geometry
+	pages map[uint64]uint64
+	asid  uint64
+	salt  uint64
+	next  uint64
+
+	// pinned names the pinned page (see PinWith); nil pins nothing.
+	pinned func(vpn uint64) bool
 
 	// OnInvalidate hooks are called when a page's translation is revoked
 	// (remap/unmap); internal/core registers the CFR here and the TLBs are
@@ -48,11 +50,10 @@ type Stats struct {
 // The ASID perturbs frame assignment so distinct spaces never share frames.
 func New(geom addr.Geometry, asid uint64) *AddressSpace {
 	return &AddressSpace{
-		geom:   geom,
-		pages:  make(map[uint64]uint64),
-		pinned: make(map[uint64]bool),
-		asid:   asid,
-		salt:   asid*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
+		geom:  geom,
+		pages: make(map[uint64]uint64),
+		asid:  asid,
+		salt:  asid*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
 	}
 }
 
@@ -118,15 +119,17 @@ func (as *AddressSpace) Translate(va addr.VAddr) addr.PAddr {
 	return as.geom.Translate(pfn, va)
 }
 
-// Pin marks vpn as not evictable/remappable — the OS-side guarantee for the
-// page held in the CFR (§3.2: "the current page ... is not evicted").
-func (as *AddressSpace) Pin(vpn uint64) { as.pinned[vpn] = true }
-
-// Unpin releases the pin.
-func (as *AddressSpace) Unpin(vpn uint64) { delete(as.pinned, vpn) }
+// PinWith makes pinned the test for which page is not evictable or
+// remappable — the OS-side guarantee for the page held in the CFR (§3.2:
+// "the current page ... is not evicted"). internal/core registers a test
+// that reads the CFR itself, so the pinned page is the CFR's page by
+// construction: it follows every refill, squash and restore without being
+// written anywhere. A nil test pins nothing, which is how a caller that
+// really must move the resident page revokes the pin.
+func (as *AddressSpace) PinWith(pinned func(vpn uint64) bool) { as.pinned = pinned }
 
 // Pinned reports whether vpn is pinned.
-func (as *AddressSpace) Pinned(vpn uint64) bool { return as.pinned[vpn] }
+func (as *AddressSpace) Pinned(vpn uint64) bool { return as.pinned != nil && as.pinned(vpn) }
 
 // OnInvalidate registers a hook called whenever a page's translation is
 // revoked. The CFR registers here so that a remap of the resident page
@@ -144,10 +147,11 @@ func (as *AddressSpace) broadcast(vpn uint64) {
 
 // Remap moves vpn to a fresh frame (page migration / swap-in at a new
 // location). It fails if the page is pinned, modelling the OS refusing to
-// move the CFR-resident page; callers that really must move it unpin first,
-// which the paper permits provided the CFR is invalidated.
+// move the CFR-resident page; callers that really must move it revoke the
+// pin first (PinWith(nil)), which the paper permits provided the CFR is
+// invalidated.
 func (as *AddressSpace) Remap(vpn uint64) (uint64, error) {
-	if as.pinned[vpn] {
+	if as.Pinned(vpn) {
 		as.stats.Denied++
 		return 0, fmt.Errorf("vm: page %#x is pinned by the CFR", vpn)
 	}
@@ -164,7 +168,7 @@ func (as *AddressSpace) Remap(vpn uint64) (uint64, error) {
 
 // Unmap removes the mapping entirely (page evicted to disk).
 func (as *AddressSpace) Unmap(vpn uint64) error {
-	if as.pinned[vpn] {
+	if as.Pinned(vpn) {
 		as.stats.Denied++
 		return fmt.Errorf("vm: page %#x is pinned by the CFR", vpn)
 	}
@@ -177,16 +181,16 @@ func (as *AddressSpace) Unmap(vpn uint64) error {
 	return nil
 }
 
-// State is a deep snapshot of an address space's page table, pins, allocator
+// State is a deep snapshot of an address space's page table, allocator
 // cursor and statistics, taken with Snapshot and reinstated with Restore. It
-// shares no memory with the space it came from. Invalidation hooks are NOT
-// part of the state: they belong to the components observing the space and
-// are re-registered when those components are rebuilt.
+// shares no memory with the space it came from. Invalidation hooks and the
+// pin test are NOT part of the state: they belong to the components
+// observing the space (the pinned page is whatever the restored CFR holds)
+// and are re-registered when those components are rebuilt.
 type State struct {
-	pages  map[uint64]uint64
-	pinned map[uint64]bool
-	next   uint64
-	stats  Stats
+	pages map[uint64]uint64
+	next  uint64
+	stats Stats
 }
 
 // Snapshot captures the address space's full mapping state. The allocator
@@ -194,16 +198,12 @@ type State struct {
 // restore must match the frames the original space would have assigned.
 func (as *AddressSpace) Snapshot() *State {
 	s := &State{
-		pages:  make(map[uint64]uint64, len(as.pages)),
-		pinned: make(map[uint64]bool, len(as.pinned)),
-		next:   as.next,
-		stats:  as.stats,
+		pages: make(map[uint64]uint64, len(as.pages)),
+		next:  as.next,
+		stats: as.stats,
 	}
 	for k, v := range as.pages {
 		s.pages[k] = v
-	}
-	for k, v := range as.pinned {
-		s.pinned[k] = v
 	}
 	return s
 }
@@ -213,12 +213,8 @@ func (as *AddressSpace) Snapshot() *State {
 // aliased, so one snapshot can seed many spaces concurrently.
 func (as *AddressSpace) Restore(s *State) {
 	as.pages = make(map[uint64]uint64, len(s.pages))
-	as.pinned = make(map[uint64]bool, len(s.pinned))
 	for k, v := range s.pages {
 		as.pages[k] = v
-	}
-	for k, v := range s.pinned {
-		as.pinned[k] = v
 	}
 	as.next = s.next
 	as.stats = s.stats
@@ -227,7 +223,7 @@ func (as *AddressSpace) Restore(s *State) {
 // Bytes is the snapshot's approximate resident size: its fields plus the
 // key/value payload of its maps (map bucket overhead is not counted).
 func (s *State) Bytes() int {
-	return int(unsafe.Sizeof(*s)) + 16*len(s.pages) + 9*len(s.pinned)
+	return int(unsafe.Sizeof(*s)) + 16*len(s.pages)
 }
 
 // Stats returns a copy of the counters.

@@ -61,7 +61,7 @@ func TestTranslatePreservesOffset(t *testing.T) {
 func TestPinBlocksRemapAndUnmap(t *testing.T) {
 	as := New(addr.DefaultGeometry, 1)
 	as.Walk(5)
-	as.Pin(5)
+	as.PinWith(func(vpn uint64) bool { return vpn == 5 })
 	if _, err := as.Remap(5); err == nil {
 		t.Error("remap of pinned page must fail")
 	}
@@ -71,9 +71,9 @@ func TestPinBlocksRemapAndUnmap(t *testing.T) {
 	if as.Stats().Denied != 2 {
 		t.Errorf("Denied = %d, want 2", as.Stats().Denied)
 	}
-	as.Unpin(5)
+	as.PinWith(nil)
 	if _, err := as.Remap(5); err != nil {
-		t.Errorf("remap after unpin: %v", err)
+		t.Errorf("remap after revoking the pin: %v", err)
 	}
 }
 
@@ -127,9 +127,15 @@ func TestPinnedQuery(t *testing.T) {
 	if as.Pinned(1) {
 		t.Error("fresh page should not be pinned")
 	}
-	as.Pin(1)
-	if !as.Pinned(1) {
-		t.Error("Pin should stick")
+	// The pin test is consulted live: the pinned page follows its holder.
+	held := uint64(1)
+	as.PinWith(func(vpn uint64) bool { return vpn == held })
+	if !as.Pinned(1) || as.Pinned(2) {
+		t.Error("only the held page should be pinned")
+	}
+	held = 2
+	if as.Pinned(1) || !as.Pinned(2) {
+		t.Error("the pin should follow the holder to page 2")
 	}
 }
 
