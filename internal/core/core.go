@@ -24,11 +24,11 @@
 //	        target leaves the CFR page (C), or on mispredictions (B, D).
 //
 // The engine is driven by the pipeline's fetch stream — including wrong-path
-// fetches after branch mispredictions — through four events: FetchTranslate
-// (eager styles, every instruction), OnCTIPredicted / OnCTIResolved (branch
-// machinery), and OnIL1Miss (lazy style). CFR state is checkpointed at every
-// predicted branch and restored on squash, exactly as other speculative
-// register state.
+// fetches after branch mispredictions — through four events: Fetch (every
+// instruction, n same-page fetches per call), OnCTIPredicted / OnCTIResolved
+// (branch machinery), and OnIL1Miss (lazy style). CFR state is checkpointed
+// at every predicted branch and restored on squash, exactly as other
+// speculative register state.
 package core
 
 import (
@@ -212,12 +212,6 @@ func NewEngine(scheme Scheme, style cache.Style, geom addr.Geometry,
 	return e
 }
 
-// Scheme returns the engine's scheme.
-func (e *Engine) Scheme() Scheme { return e.scheme }
-
-// Style returns the engine's iL1 style.
-func (e *Engine) Style() cache.Style { return e.style }
-
 // CFRState returns a copy of the CFR (for tests and introspection).
 func (e *Engine) CFRState() CFR { return e.cfr }
 
@@ -265,210 +259,97 @@ func (e *Engine) lookup(vpn uint64, cause Cause) (uint64, int) {
 	return r.PFN, r.ExtraCycles
 }
 
-// FetchOutcome describes translation of one fetched instruction under an
-// eager style (VI-PT / PI-PT).
-type FetchOutcome struct {
-	PFN addr.PAddr // physical address of the fetch
-	// StallCycles is the fetch stall: page-walk latency, plus the PI-PT
-	// serialization handled by the pipeline per group.
-	StallCycles int
-	// UsedTLB reports whether the iTLB was consulted (drives the PI-PT
-	// per-group serialization and Table 3 counts).
-	UsedTLB bool
-}
-
-// FetchTranslate produces the physical address for an instruction fetch
-// under the eager styles. sequential reports that this fetch followed the
-// previous one without a redirect (BOUNDARY attribution). wrongPath marks
-// fetches past a mispredicted branch; they consume energy and pollute the
-// iTLB exactly like real fetches, but the OPT oracle ignores them.
-func (e *Engine) FetchTranslate(pc addr.VAddr, sequential, wrongPath bool) FetchOutcome {
+// Fetch translates n consecutive fetches from pc's page: pc and the n-1
+// instructions after it, none of which redirects. sequential reports that
+// the first fetch followed the previous one without a redirect (BOUNDARY
+// attribution); the rest are sequential by construction. wrongPath marks
+// fetches past a mispredicted branch: they consume energy and pollute the
+// iTLB exactly like real fetches, but the OPT oracle ignores them and a
+// stale CFR use on them is not counted. Fetch does exactly the accounting of
+// n single-fetch calls, and n = 1 is the scalar fetch.
+//
+// It returns the frame number to fetch from, the stall cycles (page-walk
+// latency; the pipeline adds PI-PT's per-group serialization) and whether
+// the iTLB was consulted. Only the first fetch can look up: a lookup refills
+// the CFR, which then covers the page, and nothing between the fetches can
+// arm a trigger. Under the lazy VI-VT style translation happens at iL1
+// misses (OnIL1Miss), so the frame number is 0 and unused.
+func (e *Engine) Fetch(pc addr.VAddr, n uint64, sequential, wrongPath bool) (pfn uint64, stall int, usedTLB bool) {
+	if e.scheme == HoA {
+		// Comparator on every fetch (§3.3.1) — the energy that separates HoA
+		// from OPT in Figure 4. Under VI-VT its result is consumed lazily:
+		// OnIL1Miss models it by comparing VPNs directly.
+		e.stats.Comparisons += n
+		if e.meter != nil {
+			e.meter.AddComparisons(n)
+		}
+	}
 	if e.style == cache.VIVT {
-		panic("core: FetchTranslate called under the lazy VI-VT style")
+		return 0, 0, false
 	}
 	vpn := e.geom.VPN(pc)
-	cause := CauseBranch
-	if sequential {
-		cause = CauseBoundary
-	}
-
 	switch e.scheme {
 	case Base:
-		pfn, stall := e.lookup(vpn, CauseBase)
-		return FetchOutcome{PFN: e.geom.Translate(pfn, pc), StallCycles: stall, UsedTLB: true}
-
+		return e.baseRun(vpn, n)
 	case OPT:
 		// Oracle: energy only on an actual page change of the real
 		// execution. Wrong-path fetches are invisible to it, but they must
 		// still fetch from the right physical frame so the oracle's caches
 		// stay comparable to every other scheme's.
 		if wrongPath {
-			return FetchOutcome{PFN: e.geom.Translate(e.space.Walk(vpn), pc)}
+			return e.space.WalkN(vpn, n), 0, false
 		}
-		if e.cfr.Covers(vpn) {
-			return e.cfrHit(pc)
-		}
-		pfn, stall := e.lookup(vpn, cause)
-		return FetchOutcome{PFN: e.geom.Translate(pfn, pc), StallCycles: stall, UsedTLB: true}
-
+		usedTLB = !e.cfr.Covers(vpn)
 	case HoA:
-		// Comparator on every fetch (§3.3.1) — the energy that separates
-		// HoA from OPT in Figure 4.
-		e.stats.Comparisons++
-		if e.meter != nil {
-			e.meter.AddComparison()
-		}
-		if e.cfr.Covers(vpn) {
-			return e.cfrHit(pc)
-		}
-		pfn, stall := e.lookup(vpn, cause)
-		return FetchOutcome{PFN: e.geom.Translate(pfn, pc), StallCycles: stall, UsedTLB: true}
-
+		usedTLB = !e.cfr.Covers(vpn)
 	case SoCA, SoLA, IA:
-		if e.pending || !e.cfr.Valid {
-			pfn, stall := e.lookup(vpn, e.pendingOr(cause))
-			return FetchOutcome{PFN: e.geom.Translate(pfn, pc), StallCycles: stall, UsedTLB: true}
-		}
-		if e.cfr.VPN != vpn {
+		usedTLB = e.pending || !e.cfr.Valid
+		if !usedTLB && e.cfr.VPN != vpn {
 			// The software contract failed to arm a lookup before a page
 			// change. On the correct path this would be an architectural
 			// bug; on the wrong path it merely fetches garbage, which the
 			// squash discards.
 			if !wrongPath {
-				e.stats.StaleUses++
+				e.stats.StaleUses += n
 			}
-			return FetchOutcome{PFN: e.geom.Translate(e.cfr.PFN, pc)}
+			return e.cfr.PFN, 0, false
 		}
-		return e.cfrHit(pc)
+	default:
+		panic("core: unreachable scheme")
 	}
-	panic("core: unreachable scheme")
+	if usedTLB {
+		_, stall = e.lookup(vpn, e.pendingOr(fetchCause(sequential)))
+		n--
+	}
+	e.cfrReads(n)
+	return e.cfr.PFN, stall, usedTLB
 }
 
-func (e *Engine) cfrHit(pc addr.VAddr) FetchOutcome {
-	e.stats.CFRHits++
-	if e.meter != nil {
-		e.meter.AddCFRRead()
+// fetchCause attributes a fetch-triggered lookup: BOUNDARY when the fetch
+// followed its predecessor sequentially, BRANCH after a redirect.
+func fetchCause(sequential bool) Cause {
+	if sequential {
+		return CauseBoundary
 	}
-	return FetchOutcome{PFN: e.geom.Translate(e.cfr.PFN, pc)}
+	return CauseBranch
 }
 
-// FetchTranslateRun batches the engine work for n consecutive correct-path
-// fetches from one page, vpn — the pipeline's fast path for page-bounded
-// sequential runs. It performs exactly the accounting n calls to
-// FetchTranslate (eager styles) or OnFetchObserved (lazy style) would, and
-// returns the frame number to fetch from and the run's stall cycles. Base
-// consults the iTLB on every fetch, so its n lookups become one
-// tlb.TLB.LookupRun: only the first can walk, and the stall is that walk's.
-// The CFR schemes serve the run from the CFR: per-fetch CFR reads and HoA
-// comparator operations, no CFR or iTLB state change, no stall. Under the
-// lazy style the frame number is unused (OnIL1Miss translates at misses).
-// It returns ok = false — having done nothing — whenever any of those n
-// calls would have deviated from that path (a pending software trigger, a
-// CFR that does not cover vpn), in which case the caller must fall back to
-// per-fetch calls.
-func (e *Engine) FetchTranslateRun(vpn uint64, n uint64) (pfn uint64, stall int, ok bool) {
-	if e.style == cache.VIVT {
-		// Lazy style: translation happens on iL1 misses (which the caller
-		// still reports via OnIL1Miss); the only per-fetch engine work is
-		// HoA's comparator.
-		if e.scheme == HoA {
-			e.stats.Comparisons += n
-			if e.meter != nil {
-				e.meter.AddComparisons(n)
-			}
-		}
-		return 0, 0, true
-	}
-	switch e.scheme {
-	case Base:
-		pfn, stall = e.baseRun(vpn, n)
-		return pfn, stall, true
-	case OPT:
-		if !e.cfr.Covers(vpn) {
-			return 0, 0, false
-		}
-	case HoA:
-		if !e.cfr.Covers(vpn) {
-			return 0, 0, false
-		}
-		e.stats.Comparisons += n
-		if e.meter != nil {
-			e.meter.AddComparisons(n)
-		}
-	case SoCA, SoLA, IA:
-		if e.pending || !e.cfr.Valid || e.cfr.VPN != vpn {
-			return 0, 0, false
-		}
-	default: // the scalar path rejects an unknown scheme
-		return 0, 0, false
-	}
+// cfrReads serves n translations from the CFR.
+func (e *Engine) cfrReads(n uint64) {
 	e.stats.CFRHits += n
 	if e.meter != nil {
 		e.meter.AddCFRReads(n)
 	}
-	return e.cfr.PFN, 0, true
-}
-
-// FetchTranslateRunWrong is the wrong-path analogue of FetchTranslateRun: it
-// batches n sequential wrong-path fetches of vpn, returning the frame number
-// to fetch from, the stall cycles and whether batching was possible. It
-// reproduces exactly what n calls to FetchTranslate (or OnFetchObserved)
-// with wrongPath=true would do: Base's n lookups become one LookupRun, OPT
-// walks the page table per fetch but records nothing, the software schemes
-// may consume a stale CFR frame without counting it, and CFR hits and HoA
-// comparisons count as usual. Any other case that would consult the iTLB
-// returns ok = false untouched.
-func (e *Engine) FetchTranslateRunWrong(vpn uint64, n uint64) (pfn uint64, stall int, ok bool) {
-	if e.style == cache.VIVT {
-		if e.scheme == HoA {
-			e.stats.Comparisons += n
-			if e.meter != nil {
-				e.meter.AddComparisons(n)
-			}
-		}
-		return 0, 0, true // translation happens at iL1 misses via OnIL1Miss
-	}
-	switch e.scheme {
-	case Base:
-		pfn, stall = e.baseRun(vpn, n)
-		return pfn, stall, true
-	case OPT:
-		return e.space.WalkN(vpn, n), 0, true
-	case HoA:
-		if !e.cfr.Covers(vpn) {
-			return 0, 0, false
-		}
-		e.stats.Comparisons += n
-		if e.meter != nil {
-			e.meter.AddComparisons(n)
-		}
-	case SoCA, SoLA, IA:
-		if e.pending || !e.cfr.Valid {
-			return 0, 0, false
-		}
-		if e.cfr.VPN != vpn {
-			// Stale use: the squash discards the fetch, and wrong-path stale
-			// uses are not counted (see FetchTranslate).
-			return e.cfr.PFN, 0, true
-		}
-	default: // the scalar path rejects an unknown scheme
-		return 0, 0, false
-	}
-	e.stats.CFRHits += n
-	if e.meter != nil {
-		e.meter.AddCFRReads(n)
-	}
-	return e.cfr.PFN, 0, true
 }
 
 // baseRun is n of Base's per-fetch lookups of vpn (see lookup), done as one
 // LookupRun. Base keeps no CFR, so nothing else changes.
-func (e *Engine) baseRun(vpn uint64, n uint64) (uint64, int) {
+func (e *Engine) baseRun(vpn uint64, n uint64) (uint64, int, bool) {
 	e.stats.Lookups += n
 	e.stats.LookupsBase += n
 	r := e.itlb.LookupRun(vpn, n, e.walkFn)
 	e.stats.WalkCycles += uint64(r.ExtraCycles)
-	return r.PFN, r.ExtraCycles
+	return r.PFN, r.ExtraCycles, true
 }
 
 func (e *Engine) pendingOr(c Cause) Cause {
@@ -495,7 +376,7 @@ func causeOf(in *isa.Inst) Cause {
 // OnCTIPredicted runs the scheme's branch-side trigger logic when fetch
 // encounters a CTI with prediction pred. It returns extra fetch stall
 // cycles (IA's eager predicted-target lookup can walk).
-func (e *Engine) OnCTIPredicted(pc addr.VAddr, in *isa.Inst, pred bpred.Prediction) int {
+func (e *Engine) OnCTIPredicted(in *isa.Inst, pred bpred.Prediction) int {
 	e.lookupAtPred = false
 	switch e.scheme {
 	case Base, OPT, HoA:
@@ -539,15 +420,13 @@ func (e *Engine) OnCTIPredicted(pc addr.VAddr, in *isa.Inst, pred bpred.Predicti
 	panic("core: unreachable scheme")
 }
 
-// OnCTIResolved runs when the branch at pc resolves. mispredicted reports a
-// squash; the pipeline restores the checkpoint BEFORE calling this, so the
-// engine sees pre-branch CFR state and applies Figure 3's B/D lookups on
-// top. It returns extra stall cycles from walks.
-func (e *Engine) OnCTIResolved(pc addr.VAddr, in *isa.Inst, pred bpred.Prediction,
-	taken bool, actualNext addr.VAddr, mispredicted bool, lookupAtPred bool) int {
-	if !mispredicted {
-		return 0
-	}
+// OnCTIResolved runs when a mispredicted branch in resolves: taken is its
+// actual direction, actualNext the correct-path successor, and lookupAtPred
+// what TookLookupAtPred reported after its OnCTIPredicted. The pipeline
+// restores the checkpoint BEFORE calling this, so the engine sees pre-branch
+// CFR state and applies Figure 3's B/D lookups on top. It returns extra
+// stall cycles from walks. A correctly predicted branch needs no call.
+func (e *Engine) OnCTIResolved(in *isa.Inst, taken bool, actualNext addr.VAddr, lookupAtPred bool) int {
 	// The squash restored the checkpoint taken before the branch, which
 	// discarded the trigger the software schemes armed at predict time.
 	// Their contract — every branch target goes through the iTLB — still
@@ -591,28 +470,16 @@ func (e *Engine) OnCTIResolved(pc addr.VAddr, in *isa.Inst, pred bpred.Predictio
 	return 0
 }
 
-// MissOutcome describes translation at a VI-VT iL1 miss.
-type MissOutcome struct {
-	PFN addr.PAddr
-	// StallCycles include the +1 serialized iTLB probe (when consulted)
-	// and any page-walk latency.
-	StallCycles int
-	UsedTLB     bool
-}
-
 // OnIL1Miss supplies the physical address for an iL1 miss under the lazy
-// VI-VT style (Figure 1(c)): the CFR satisfies it free of charge when it
-// covers the page; otherwise the iTLB is consulted, costing one serialized
-// cycle plus any walk.
-func (e *Engine) OnIL1Miss(pc addr.VAddr, sequential, wrongPath bool) MissOutcome {
+// VI-VT style (Figure 1(c)), and the miss's translation stall: the CFR
+// satisfies it free of charge when it covers the page; otherwise the iTLB is
+// consulted, costing one serialized cycle plus any walk.
+func (e *Engine) OnIL1Miss(pc addr.VAddr, sequential, wrongPath bool) (addr.PAddr, int) {
 	if e.style != cache.VIVT {
 		panic("core: OnIL1Miss called under an eager style")
 	}
 	vpn := e.geom.VPN(pc)
-	cause := CauseBranch
-	if sequential {
-		cause = CauseBoundary
-	}
+	cause := fetchCause(sequential)
 
 	consult := false
 	switch e.scheme {
@@ -621,12 +488,12 @@ func (e *Engine) OnIL1Miss(pc addr.VAddr, sequential, wrongPath bool) MissOutcom
 		cause = CauseBase
 	case OPT:
 		if wrongPath {
-			return MissOutcome{PFN: e.geom.Translate(e.space.Walk(vpn), pc)}
+			return e.geom.Translate(e.space.Walk(vpn), pc), 0
 		}
 		consult = !e.cfr.Covers(vpn)
 	case HoA:
-		// The comparator (charged per fetch in OnFetchObserved) tells the
-		// hardware exactly whether the CFR covers this page.
+		// The comparator (charged per fetch in Fetch) tells the hardware
+		// exactly whether the CFR covers this page.
 		consult = !e.cfr.Covers(vpn)
 	case SoCA, SoLA, IA:
 		consult = e.pending || !e.cfr.Valid
@@ -635,30 +502,16 @@ func (e *Engine) OnIL1Miss(pc addr.VAddr, sequential, wrongPath bool) MissOutcom
 			if !wrongPath {
 				e.stats.StaleUses++
 			}
-			return MissOutcome{PFN: e.geom.Translate(e.cfr.PFN, pc)}
+			return e.geom.Translate(e.cfr.PFN, pc), 0
 		}
 	}
 
 	if !consult {
-		out := e.cfrHit(pc)
-		return MissOutcome{PFN: out.PFN}
+		e.cfrReads(1)
+		return e.geom.Translate(e.cfr.PFN, pc), 0
 	}
 	pfn, walk := e.lookup(vpn, cause)
-	return MissOutcome{PFN: e.geom.Translate(pfn, pc), StallCycles: 1 + walk, UsedTLB: true}
-}
-
-// OnFetchObserved charges HoA's per-fetch comparator under the lazy style,
-// where FetchTranslate is never called. Other schemes ignore it.
-func (e *Engine) OnFetchObserved(pc addr.VAddr) {
-	if e.style != cache.VIVT || e.scheme != HoA {
-		return
-	}
-	e.stats.Comparisons++
-	if e.meter != nil {
-		e.meter.AddComparison()
-	}
-	// The comparator result is consumed lazily: it keeps the CFR coverage
-	// exact, which OnIL1Miss models by comparing VPNs directly.
+	return e.geom.Translate(pfn, pc), 1 + walk
 }
 
 // Checkpoint captures the CFR state at a predicted branch.
@@ -680,6 +533,6 @@ func (e *Engine) Restore(s State) {
 	e.lookupAtPred = s.LookupAtPred
 }
 
-// LookupAtPred reports whether the last OnCTIPredicted performed an eager
-// lookup (needed by the pipeline to feed OnCTIResolved's case D).
+// TookLookupAtPred reports whether the last OnCTIPredicted performed an
+// eager lookup (needed by the pipeline to feed OnCTIResolved's case D).
 func (e *Engine) TookLookupAtPred() bool { return e.lookupAtPred }

@@ -13,17 +13,23 @@ import (
 )
 
 func newEngine(s Scheme, style cache.Style) (*Engine, *energy.Meter, *vm.AddressSpace) {
-	geom := addr.DefaultGeometry
-	cfg := tlb.Mono(32, 32)
-	t := tlb.New(cfg)
-	m := energy.NewMeter(energy.NewModel(energy.DefaultTech), cfg.EntriesPerLevel(), cfg.AssocPerLevel())
-	t.AttachMeter(m)
-	space := vm.New(geom, 1)
-	return NewEngine(s, style, geom, t, space, m), m, space
+	return newEngineTLB(s, style, tlb.Mono(32, 32))
 }
 
 func pcIn(page uint64, off uint64) addr.VAddr {
 	return addr.VAddr(page<<12 | off)
+}
+
+// taken is a BTB-hit prediction that the CTI is taken to target.
+func taken(target addr.VAddr) bpred.Prediction {
+	return bpred.Prediction{Taken: true, Target: target, BTBHit: true}
+}
+
+// usedTLB fetches the single correct-path instruction at pc and reports
+// whether its translation consulted the iTLB.
+func usedTLB(e *Engine, pc addr.VAddr, sequential bool) bool {
+	_, _, used := e.Fetch(pc, 1, sequential, false)
+	return used
 }
 
 func TestSchemeParseAndProperties(t *testing.T) {
@@ -54,8 +60,7 @@ func TestSchemeParseAndProperties(t *testing.T) {
 func TestBaseLooksUpEveryFetch(t *testing.T) {
 	e, m, _ := newEngine(Base, cache.VIPT)
 	for i := 0; i < 10; i++ {
-		out := e.FetchTranslate(pcIn(5, uint64(i*4)), true, false)
-		if !out.UsedTLB {
+		if !usedTLB(e, pcIn(5, uint64(i*4)), true) {
 			t.Fatal("base must consult the iTLB on every fetch")
 		}
 	}
@@ -77,12 +82,11 @@ func TestTranslationCorrectness(t *testing.T) {
 			// Arm software schemes before page changes, as their compiler
 			// contract guarantees.
 			if i > 0 && geom.VPN(pcs[i-1]) != geom.VPN(pc) {
-				e.OnCTIPredicted(pcs[i-1], &isa.Inst{Kind: isa.Jump, Target: pc}, bpred.Prediction{Taken: true, Target: pc, BTBHit: true})
+				e.OnCTIPredicted(&isa.Inst{Kind: isa.Jump, Target: pc}, taken(pc))
 			}
-			out := e.FetchTranslate(pc, false, false)
-			want := geom.Translate(space.Walk(geom.VPN(pc)), pc)
-			if out.PFN != want {
-				t.Errorf("%v: translate(%#x) = %#x, want %#x", s, uint64(pc), uint64(out.PFN), uint64(want))
+			pfn, _, _ := e.Fetch(pc, 1, false, false)
+			if want := space.Walk(geom.VPN(pc)); pfn != want {
+				t.Errorf("%v: frame of %#x = %#x, want %#x", s, uint64(pc), pfn, want)
 			}
 		}
 		if e.Stats().StaleUses != 0 {
@@ -95,7 +99,7 @@ func TestOPTLooksUpOnlyOnPageChange(t *testing.T) {
 	e, _, _ := newEngine(OPT, cache.VIPT)
 	seq := []uint64{1, 1, 1, 2, 2, 1, 1} // page per fetch
 	for i, pg := range seq {
-		e.FetchTranslate(pcIn(pg, uint64(i%1024)*4), false, false)
+		e.Fetch(pcIn(pg, uint64(i%1024)*4), 1, false, false)
 	}
 	// Page changes: 1 (cold), 2, 1 => 3 lookups.
 	if got := e.Stats().Lookups; got != 3 {
@@ -108,10 +112,10 @@ func TestOPTLooksUpOnlyOnPageChange(t *testing.T) {
 
 func TestOPTIgnoresWrongPath(t *testing.T) {
 	e, m, _ := newEngine(OPT, cache.VIPT)
-	e.FetchTranslate(pcIn(1, 0), true, false)
+	e.Fetch(pcIn(1, 0), 1, true, false)
 	before := m.TotalNJ()
 	for i := 0; i < 50; i++ {
-		e.FetchTranslate(pcIn(uint64(10+i), 0), false, true) // wrong path
+		e.Fetch(pcIn(uint64(10+i), 0), 1, false, true) // wrong path
 	}
 	if m.TotalNJ() != before {
 		t.Error("OPT must not charge energy for wrong-path fetches")
@@ -123,9 +127,9 @@ func TestOPTIgnoresWrongPath(t *testing.T) {
 
 func TestHoAComparatorEveryFetchLookupOnChange(t *testing.T) {
 	e, m, _ := newEngine(HoA, cache.VIPT)
-	e.FetchTranslate(pcIn(1, 0), true, false)
-	e.FetchTranslate(pcIn(1, 4), true, false)
-	e.FetchTranslate(pcIn(2, 0), true, false) // sequential page change
+	e.Fetch(pcIn(1, 0), 1, true, false)
+	e.Fetch(pcIn(1, 4), 1, true, false)
+	e.Fetch(pcIn(2, 0), 1, true, false) // sequential page change
 	st := e.Stats()
 	if st.Comparisons != 3 {
 		t.Errorf("comparisons = %d, want 3", st.Comparisons)
@@ -145,17 +149,15 @@ func TestHoAComparatorEveryFetchLookupOnChange(t *testing.T) {
 func TestSoCAArmsOnEveryCTI(t *testing.T) {
 	e, _, _ := newEngine(SoCA, cache.VIPT)
 	// Initial fetch: CFR invalid -> lookup.
-	e.FetchTranslate(pcIn(1, 0), true, false)
+	e.Fetch(pcIn(1, 0), 1, true, false)
 	// A branch WITHIN the page still arms a lookup (conservative).
 	br := &isa.Inst{Kind: isa.CondBranch, Target: pcIn(1, 64), InPage: true}
-	e.OnCTIPredicted(pcIn(1, 4), br, bpred.Prediction{Taken: true, Target: pcIn(1, 64), BTBHit: true})
-	out := e.FetchTranslate(pcIn(1, 64), false, false)
-	if !out.UsedTLB {
+	e.OnCTIPredicted(br, taken(pcIn(1, 64)))
+	if !usedTLB(e, pcIn(1, 64), false) {
 		t.Error("SoCA must look up after ANY branch, even in-page")
 	}
 	// Sequential fetches after that use the CFR.
-	out = e.FetchTranslate(pcIn(1, 68), true, false)
-	if out.UsedTLB {
+	if usedTLB(e, pcIn(1, 68), true) {
 		t.Error("sequential fetch should ride the CFR")
 	}
 	if e.Stats().LookupsBranch != 1 {
@@ -165,10 +167,10 @@ func TestSoCAArmsOnEveryCTI(t *testing.T) {
 
 func TestSoCABoundaryStubAttribution(t *testing.T) {
 	e, _, _ := newEngine(SoCA, cache.VIPT)
-	e.FetchTranslate(pcIn(1, 0), true, false)
+	e.Fetch(pcIn(1, 0), 1, true, false)
 	stub := &isa.Inst{Kind: isa.Jump, Target: pcIn(2, 0), BoundaryStub: true}
-	e.OnCTIPredicted(pcIn(1, 4092), stub, bpred.Prediction{Taken: true, Target: pcIn(2, 0), BTBHit: true})
-	e.FetchTranslate(pcIn(2, 0), false, false)
+	e.OnCTIPredicted(stub, taken(pcIn(2, 0)))
+	e.Fetch(pcIn(2, 0), 1, false, false)
 	if e.Stats().LookupsBoundary != 2 { // cold + stub
 		t.Errorf("boundary lookups = %d, want 2 (cold+stub)", e.Stats().LookupsBoundary)
 	}
@@ -176,26 +178,26 @@ func TestSoCABoundaryStubAttribution(t *testing.T) {
 
 func TestSoLASkipsInPageBranches(t *testing.T) {
 	e, _, _ := newEngine(SoLA, cache.VIPT)
-	e.FetchTranslate(pcIn(1, 0), true, false)
+	e.Fetch(pcIn(1, 0), 1, true, false)
 	inPage := &isa.Inst{Kind: isa.CondBranch, Target: pcIn(1, 64), InPage: true}
-	e.OnCTIPredicted(pcIn(1, 4), inPage, bpred.Prediction{Taken: true, Target: pcIn(1, 64), BTBHit: true})
-	if out := e.FetchTranslate(pcIn(1, 64), false, false); out.UsedTLB {
+	e.OnCTIPredicted(inPage, taken(pcIn(1, 64)))
+	if usedTLB(e, pcIn(1, 64), false) {
 		t.Error("SoLA must ride the CFR for compiler-marked in-page branches")
 	}
 	cross := &isa.Inst{Kind: isa.Jump, Target: pcIn(2, 0)}
-	e.OnCTIPredicted(pcIn(1, 64), cross, bpred.Prediction{Taken: true, Target: pcIn(2, 0), BTBHit: true})
-	if out := e.FetchTranslate(pcIn(2, 0), false, false); !out.UsedTLB {
+	e.OnCTIPredicted(cross, taken(pcIn(2, 0)))
+	if !usedTLB(e, pcIn(2, 0), false) {
 		t.Error("SoLA must look up for branches without the in-page bit")
 	}
 }
 
 func TestIAPredictedTakenSamePageFree(t *testing.T) {
 	e, _, _ := newEngine(IA, cache.VIPT)
-	e.FetchTranslate(pcIn(1, 0), true, false)
+	e.Fetch(pcIn(1, 0), 1, true, false)
 	br := &isa.Inst{Kind: isa.CondBranch, Target: pcIn(1, 256)}
 	// BTB-predicted taken to the SAME page: case A, no lookup.
-	e.OnCTIPredicted(pcIn(1, 4), br, bpred.Prediction{Taken: true, Target: pcIn(1, 256), BTBHit: true})
-	if out := e.FetchTranslate(pcIn(1, 256), false, false); out.UsedTLB {
+	e.OnCTIPredicted(br, taken(pcIn(1, 256)))
+	if usedTLB(e, pcIn(1, 256), false) {
 		t.Error("IA case A: same-page predicted target must not look up")
 	}
 	if e.Stats().Lookups != 1 { // cold only
@@ -205,14 +207,14 @@ func TestIAPredictedTakenSamePageFree(t *testing.T) {
 
 func TestIAPredictedTakenCrossPageLooksUpEagerly(t *testing.T) {
 	e, _, _ := newEngine(IA, cache.VIPT)
-	e.FetchTranslate(pcIn(1, 0), true, false)
+	e.Fetch(pcIn(1, 0), 1, true, false)
 	br := &isa.Inst{Kind: isa.Jump, Target: pcIn(7, 0)}
-	e.OnCTIPredicted(pcIn(1, 4), br, bpred.Prediction{Taken: true, Target: pcIn(7, 0), BTBHit: true})
+	e.OnCTIPredicted(br, taken(pcIn(7, 0)))
 	if !e.TookLookupAtPred() {
 		t.Fatal("IA must look up at predict time for a cross-page target")
 	}
 	// Target fetch rides the just-refilled CFR.
-	if out := e.FetchTranslate(pcIn(7, 0), false, false); out.UsedTLB {
+	if usedTLB(e, pcIn(7, 0), false) {
 		t.Error("target fetch after the eager lookup should use the CFR")
 	}
 	if e.Stats().LookupsBranch != 1 {
@@ -222,15 +224,14 @@ func TestIAPredictedTakenCrossPageLooksUpEagerly(t *testing.T) {
 
 func TestIACaseBMispredictedNotTaken(t *testing.T) {
 	e, _, _ := newEngine(IA, cache.VIPT)
-	e.FetchTranslate(pcIn(1, 0), true, false)
+	e.Fetch(pcIn(1, 0), 1, true, false)
 	br := &isa.Inst{Kind: isa.CondBranch, Target: pcIn(1, 256)}
 	pred := bpred.Prediction{Taken: false}
-	e.OnCTIPredicted(pcIn(1, 4), br, pred)
+	e.OnCTIPredicted(br, pred)
 	ck := e.Checkpoint()
 	// ... wrong-path fall-through fetches happen; squash:
 	e.Restore(ck)
-	stall := e.OnCTIResolved(pcIn(1, 4), br, pred, true, pcIn(1, 256), true, false)
-	_ = stall
+	e.OnCTIResolved(br, true, pcIn(1, 256), false)
 	// Case B: lookup even though the target is in the SAME page.
 	if e.Stats().LookupsBranch != 1 {
 		t.Errorf("case B lookups = %d, want 1", e.Stats().LookupsBranch)
@@ -239,18 +240,18 @@ func TestIACaseBMispredictedNotTaken(t *testing.T) {
 
 func TestIACaseDMispredictedTakenWithPageChange(t *testing.T) {
 	e, _, _ := newEngine(IA, cache.VIPT)
-	e.FetchTranslate(pcIn(1, 0), true, false)
+	e.Fetch(pcIn(1, 0), 1, true, false)
 	br := &isa.Inst{Kind: isa.CondBranch, Target: pcIn(7, 0)}
-	pred := bpred.Prediction{Taken: true, Target: pcIn(7, 0), BTBHit: true}
+	pred := taken(pcIn(7, 0))
 	ck := e.Checkpoint()
-	e.OnCTIPredicted(pcIn(1, 4), br, pred) // eager lookup for page 7
+	e.OnCTIPredicted(br, pred) // eager lookup for page 7
 	tookLookup := e.TookLookupAtPred()
 	if !tookLookup {
 		t.Fatal("expected eager lookup")
 	}
 	// Actually not taken: squash, restore, case D lookup for fall-through.
 	e.Restore(ck)
-	e.OnCTIResolved(pcIn(1, 4), br, pred, false, pcIn(1, 8), true, tookLookup)
+	e.OnCTIResolved(br, false, pcIn(1, 8), tookLookup)
 	if e.Stats().Lookups != 3 { // cold + eager C + case D
 		t.Errorf("lookups = %d, want 3", e.Stats().Lookups)
 	}
@@ -262,13 +263,13 @@ func TestIACaseDMispredictedTakenWithPageChange(t *testing.T) {
 
 func TestIAMispredictedTakenSamePageNoExtraLookup(t *testing.T) {
 	e, _, _ := newEngine(IA, cache.VIPT)
-	e.FetchTranslate(pcIn(1, 0), true, false)
+	e.Fetch(pcIn(1, 0), 1, true, false)
 	br := &isa.Inst{Kind: isa.CondBranch, Target: pcIn(1, 512)}
-	pred := bpred.Prediction{Taken: true, Target: pcIn(1, 512), BTBHit: true}
+	pred := taken(pcIn(1, 512))
 	ck := e.Checkpoint()
-	e.OnCTIPredicted(pcIn(1, 4), br, pred) // same page: no lookup
+	e.OnCTIPredicted(br, pred) // same page: no lookup
 	e.Restore(ck)
-	e.OnCTIResolved(pcIn(1, 4), br, pred, false, pcIn(1, 8), true, false)
+	e.OnCTIResolved(br, false, pcIn(1, 8), false)
 	if e.Stats().Lookups != 1 { // cold only
 		t.Errorf("lookups = %d, want 1", e.Stats().Lookups)
 	}
@@ -276,12 +277,12 @@ func TestIAMispredictedTakenSamePageNoExtraLookup(t *testing.T) {
 
 func TestCheckpointRestoreDiscardsWrongPathCFR(t *testing.T) {
 	e, _, _ := newEngine(IA, cache.VIPT)
-	e.FetchTranslate(pcIn(1, 0), true, false)
+	e.Fetch(pcIn(1, 0), 1, true, false)
 	ck := e.Checkpoint()
 	// Wrong path wanders into page 9 via a stub.
 	stub := &isa.Inst{Kind: isa.Jump, Target: pcIn(9, 0), BoundaryStub: true}
-	e.OnCTIPredicted(pcIn(1, 4092), stub, bpred.Prediction{Taken: true, Target: pcIn(9, 0), BTBHit: true})
-	e.FetchTranslate(pcIn(9, 0), false, true)
+	e.OnCTIPredicted(stub, taken(pcIn(9, 0)))
+	e.Fetch(pcIn(9, 0), 1, false, true)
 	if e.CFRState().VPN != 9 {
 		t.Fatal("wrong-path fetch should have moved the CFR")
 	}
@@ -291,15 +292,26 @@ func TestCheckpointRestoreDiscardsWrongPathCFR(t *testing.T) {
 	}
 }
 
+// missLooksUp reports whether a VI-VT iL1 miss at pc consulted the iTLB and
+// checks that it then stalled for the serialized probe.
+func missLooksUp(t *testing.T, e *Engine, pc addr.VAddr, sequential bool) bool {
+	t.Helper()
+	before := e.Stats().Lookups
+	_, stall := e.OnIL1Miss(pc, sequential, false)
+	looked := e.Stats().Lookups != before
+	if looked != (stall >= 1) {
+		t.Errorf("miss at %#x: lookup %v but stall %d", uint64(pc), looked, stall)
+	}
+	return looked
+}
+
 func TestVIVTBaseLooksUpPerMiss(t *testing.T) {
 	e, _, _ := newEngine(Base, cache.VIVT)
-	out := e.OnIL1Miss(pcIn(1, 0), true, false)
-	if !out.UsedTLB || out.StallCycles < 1 {
-		t.Fatalf("VI-VT base miss: %+v", out)
+	if !missLooksUp(t, e, pcIn(1, 0), true) {
+		t.Fatal("VI-VT base miss must consult the iTLB")
 	}
 	// Second miss in the same page still pays (no CFR in base).
-	out = e.OnIL1Miss(pcIn(1, 64), true, false)
-	if !out.UsedTLB {
+	if !missLooksUp(t, e, pcIn(1, 64), true) {
 		t.Error("base has no CFR; every miss consults the iTLB")
 	}
 }
@@ -307,12 +319,10 @@ func TestVIVTBaseLooksUpPerMiss(t *testing.T) {
 func TestVIVTOPTRidesCFRSamePage(t *testing.T) {
 	e, _, _ := newEngine(OPT, cache.VIVT)
 	e.OnIL1Miss(pcIn(1, 0), true, false)
-	out := e.OnIL1Miss(pcIn(1, 64), true, false)
-	if out.UsedTLB || out.StallCycles != 0 {
-		t.Errorf("same-page miss should ride the CFR: %+v", out)
+	if missLooksUp(t, e, pcIn(1, 64), true) {
+		t.Error("same-page miss should ride the CFR")
 	}
-	out = e.OnIL1Miss(pcIn(2, 0), true, false)
-	if !out.UsedTLB {
+	if !missLooksUp(t, e, pcIn(2, 0), true) {
 		t.Error("page change at miss must look up")
 	}
 }
@@ -322,14 +332,12 @@ func TestVIVTSoCAConservativeAtMiss(t *testing.T) {
 	e.OnIL1Miss(pcIn(1, 0), true, false)
 	// Branch arms the trigger; the miss is in the SAME page but SoCA pays.
 	br := &isa.Inst{Kind: isa.CondBranch, Target: pcIn(1, 128)}
-	e.OnCTIPredicted(pcIn(1, 4), br, bpred.Prediction{Taken: true, Target: pcIn(1, 128), BTBHit: true})
-	out := e.OnIL1Miss(pcIn(1, 128), false, false)
-	if !out.UsedTLB {
+	e.OnCTIPredicted(br, taken(pcIn(1, 128)))
+	if !missLooksUp(t, e, pcIn(1, 128), false) {
 		t.Error("SoCA pays at the first miss after any branch")
 	}
 	// No branch since: free.
-	out = e.OnIL1Miss(pcIn(1, 192), true, false)
-	if out.UsedTLB {
+	if missLooksUp(t, e, pcIn(1, 192), true) {
 		t.Error("missing again with no intervening branch should be free")
 	}
 }
@@ -339,35 +347,39 @@ func TestVIVTIADefersPredictLookup(t *testing.T) {
 	e.OnIL1Miss(pcIn(1, 0), true, false)
 	before := m.TotalAccesses()
 	br := &isa.Inst{Kind: isa.Jump, Target: pcIn(5, 0)}
-	e.OnCTIPredicted(pcIn(1, 4), br, bpred.Prediction{Taken: true, Target: pcIn(5, 0), BTBHit: true})
+	e.OnCTIPredicted(br, taken(pcIn(5, 0)))
 	if m.TotalAccesses() != before {
 		t.Error("VI-VT IA must not access the iTLB at predict time")
 	}
-	out := e.OnIL1Miss(pcIn(5, 0), false, false)
-	if !out.UsedTLB {
+	if !missLooksUp(t, e, pcIn(5, 0), false) {
 		t.Error("deferred lookup must happen at the miss")
 	}
 }
 
+// Under VI-VT, Fetch only charges HoA's comparator, n per call; translation
+// waits for the iL1 miss.
 func TestVIVTHoAComparatorCharging(t *testing.T) {
 	e, m, _ := newEngine(HoA, cache.VIVT)
-	for i := 0; i < 7; i++ {
-		e.OnFetchObserved(pcIn(1, uint64(i*4)))
+	for i := 0; i < 3; i++ {
+		e.Fetch(pcIn(1, uint64(i*4)), 1, true, false)
 	}
-	if m.Comparisons != 7 {
-		t.Errorf("comparisons = %d, want 7", m.Comparisons)
+	if pfn, stall, used := e.Fetch(pcIn(1, 12), 4, true, false); pfn != 0 || stall != 0 || used {
+		t.Errorf("VI-VT Fetch = %d, %d, %v; want 0, 0, false", pfn, stall, used)
 	}
-	// Other schemes must ignore OnFetchObserved.
+	if m.Comparisons != 7 || e.Stats().Comparisons != 7 || e.Stats().Lookups != 0 {
+		t.Errorf("comparisons = %d (stats %+v), want 7 and no lookup", m.Comparisons, e.Stats())
+	}
+	// Other schemes charge nothing per fetch.
 	e2, m2, _ := newEngine(IA, cache.VIVT)
-	e2.OnFetchObserved(pcIn(1, 0))
-	if m2.Comparisons != 0 {
-		t.Error("IA must not charge comparator energy")
+	e2.Fetch(pcIn(1, 0), 1, true, false)
+	if m2.Comparisons != 0 || m2.TotalAccesses() != 0 {
+		t.Error("IA must not charge comparator or iTLB energy at a VI-VT fetch")
 	}
 }
 
 func TestOSRemapInvalidatesCFR(t *testing.T) {
 	e, _, space := newEngine(HoA, cache.VIPT)
-	e.FetchTranslate(pcIn(1, 0), true, false)
+	e.Fetch(pcIn(1, 0), 1, true, false)
 	if !space.Pinned(1) {
 		t.Fatal("the CFR page must be pinned")
 	}
@@ -379,9 +391,7 @@ func TestOSRemapInvalidatesCFR(t *testing.T) {
 		t.Fatal("remap must invalidate the CFR")
 	}
 	// Next fetch re-walks and gets the NEW frame.
-	out := e.FetchTranslate(pcIn(1, 4), true, false)
-	want := space.Geometry().Translate(space.Walk(1), pcIn(1, 4))
-	if out.PFN != want {
+	if pfn, _, _ := e.Fetch(pcIn(1, 4), 1, true, false); pfn != space.Walk(1) {
 		t.Error("post-remap fetch must see the new frame")
 	}
 }
@@ -407,46 +417,35 @@ func TestPinFollowsCFR(t *testing.T) {
 		}
 	}
 	space.Walk(b) // map B so that it can be remapped while A is resident
-	e.FetchTranslate(pcIn(a, 0), true, false)
+	e.Fetch(pcIn(a, 0), 1, true, false)
 	remaps(a, b)
 	ck := e.Checkpoint()
-	e.FetchTranslate(pcIn(b, 0), false, true) // the wrong path moves the CFR to B
+	e.Fetch(pcIn(b, 0), 1, false, true) // the wrong path moves the CFR to B
 	if !space.Pinned(b) || space.Pinned(a) {
 		t.Error("on the wrong path only B, the CFR's page, should be pinned")
 	}
 	e.Restore(ck) // the squash puts A back
 	remaps(a, b)
-	e.FetchTranslate(pcIn(b, 4), false, false) // the correct path moves to B
+	e.Fetch(pcIn(b, 4), 1, false, false) // the correct path moves to B
 	remaps(b, a)
 	if space.Stats().Denied != 3 {
 		t.Errorf("denied remaps = %d, want 3", space.Stats().Denied)
 	}
 	base, _, bspace := newEngine(Base, cache.VIPT)
-	base.FetchTranslate(pcIn(a, 0), true, false)
+	base.Fetch(pcIn(a, 0), 1, true, false)
 	if bspace.Pinned(a) {
 		t.Error("Base keeps no CFR, so it must pin nothing")
 	}
 }
 
 func TestPanicsOnStyleMisuse(t *testing.T) {
-	e, _, _ := newEngine(Base, cache.VIVT)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("FetchTranslate under VI-VT should panic")
-			}
-		}()
-		e.FetchTranslate(pcIn(1, 0), true, false)
+	e, _, _ := newEngine(Base, cache.VIPT)
+	defer func() {
+		if recover() == nil {
+			t.Error("OnIL1Miss under VI-PT should panic")
+		}
 	}()
-	e2, _, _ := newEngine(Base, cache.VIPT)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("OnIL1Miss under VI-PT should panic")
-			}
-		}()
-		e2.OnIL1Miss(pcIn(1, 0), true, false)
-	}()
+	e.OnIL1Miss(pcIn(1, 0), true, false)
 }
 
 func TestSchemeLookupOrderingInvariant(t *testing.T) {
@@ -475,11 +474,11 @@ func TestSchemeLookupOrderingInvariant(t *testing.T) {
 		e, _, _ := newEngine(s, cache.VIPT)
 		seq := true
 		for _, st := range steps {
-			e.FetchTranslate(st.pc, seq, false)
+			e.Fetch(st.pc, 1, seq, false)
 			seq = true
 			if st.isCTI {
 				in := &isa.Inst{Kind: isa.Jump, Target: st.target}
-				e.OnCTIPredicted(st.pc, in, bpred.Prediction{Taken: true, Target: st.target, BTBHit: true})
+				e.OnCTIPredicted(in, taken(st.target))
 				seq = false
 			}
 		}

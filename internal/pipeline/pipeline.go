@@ -210,7 +210,6 @@ type Machine struct {
 	// call.
 	eager         bool                    // IL1Style is VIPT or PIPT (translate at fetch)
 	pipt          bool                    // IL1Style is PIPT
-	schemeBase    bool                    // engine scheme is core.Base
 	bulkCommit    bool                    // batched source and no OS-pressure cadence: commitStretch may run
 	hasDataCFR    bool                    // cfg.DataCFR (§5 extension enabled)
 	il1BlockShift uint                    // log2(IL1.BlockBytes)
@@ -285,7 +284,6 @@ func New(cfg Config, img *program.Image, ex program.Source,
 	}
 	m.eager = cfg.IL1Style == cache.VIPT || cfg.IL1Style == cache.PIPT
 	m.pipt = cfg.IL1Style == cache.PIPT
-	m.schemeBase = engine.Scheme() == core.Base
 	m.hasDataCFR = cfg.DataCFR
 	m.il1BlockShift = uint(bits.TrailingZeros64(uint64(cfg.IL1.BlockBytes)))
 	width := cfg.IssueWidth
@@ -378,14 +376,7 @@ func (m *Machine) PathStats() PathStats { return m.paths }
 // eager styles' fetch-time translation consulted the iTLB (what PI-PT
 // serializes on; the lazy style's miss-time lookups are charged as stall).
 func (m *Machine) fetchInst(pc addr.VAddr, wrongPath bool) (stall int, usedTLB bool) {
-	var pfn uint64
-	if m.eager { // VIPT/PIPT translate at fetch
-		out := m.engine.FetchTranslate(pc, m.sequential, wrongPath)
-		stall, usedTLB = out.StallCycles, out.UsedTLB
-		pfn = m.geom.PFNOf(out.PFN)
-	} else { // VIVT
-		m.engine.OnFetchObserved(pc)
-	}
+	pfn, stall, usedTLB := m.engine.Fetch(pc, 1, m.sequential, wrongPath)
 	// One iL1 probe per block touched.
 	if blk := uint64(pc) >> m.il1BlockShift; !m.haveBlock || blk != m.lastBlock {
 		m.lastBlock, m.haveBlock = blk, true
@@ -421,22 +412,21 @@ func (m *Machine) refill() {
 
 // chargeGroup closes one fetch group on the front-end clock: the base cycle,
 // the group's accumulated stalls, and — under PI-PT — the serialized
-// translation cycle when the group consulted the iTLB (or always, under the
+// translation cycle when the group consulted the iTLB (always, under the
 // Base scheme, which has no CFR to concatenate from). Every group that
 // fetched instructions must be charged through here, whether it ended
 // normally, on a redirect, or on a misprediction (§2, Table 8).
 func (m *Machine) chargeGroup(groupStall int, groupUsedTLB bool) {
 	m.frontCycle += uint64(1 + groupStall)
-	if m.pipt && (groupUsedTLB || m.schemeBase) {
+	if m.pipt && groupUsedTLB {
 		m.frontCycle++
 	}
 	m.syncBackend()
 }
 
 // stepGroup fetches and executes one correct-path fetch group. Each slot
-// first offers the plain stretch that starts there to commitStretch; a CTI,
-// a stub or a stretch the engine refuses runs the scalar slot below, and the
-// next slot tries again.
+// first offers the plain stretch that starts there to commitStretch; a CTI
+// or a stub runs the scalar slot below, and the next slot tries again.
 func (m *Machine) stepGroup() {
 	groupStall := 0
 	groupUsedTLB := false
@@ -447,8 +437,9 @@ func (m *Machine) stepGroup() {
 		}
 		// The Plain test up front keeps the call off CTI slots.
 		if m.bulkCommit && (m.stepPos == stepBufLen || m.stepBuf[m.stepPos].Plain) {
-			if n, st := m.commitStretch(w - slot); n > 0 {
+			if n, st, used := m.commitStretch(w - slot); n > 0 {
 				groupStall += st
+				groupUsedTLB = groupUsedTLB || used
 				slot += n - 1
 				continue
 			}
@@ -474,7 +465,7 @@ func (m *Machine) stepGroup() {
 		// Branch machinery.
 		pred := m.pred.Predict(pc, s.Inst.Kind)
 		ck := m.engine.Checkpoint()
-		groupStall += m.engine.OnCTIPredicted(pc, s.Inst, pred)
+		groupStall += m.engine.OnCTIPredicted(s.Inst, pred)
 		tookLookup := m.engine.TookLookupAtPred()
 		correct := m.pred.Resolve(pc, s.Inst.Kind, pred, s.Taken, s.Next)
 
@@ -499,7 +490,7 @@ func (m *Machine) stepGroup() {
 		}
 		m.runWrongPath(wrongPC, uint64(m.cfg.Bpred.MispredictPenalty))
 		m.engine.Restore(ck)
-		m.frontCycle += uint64(m.engine.OnCTIResolved(pc, s.Inst, pred, s.Taken, s.Next, true, tookLookup))
+		m.frontCycle += uint64(m.engine.OnCTIResolved(s.Inst, s.Taken, s.Next, tookLookup))
 		m.fetchPC = s.Next
 		m.sequential = false
 		m.haveBlock = false
@@ -525,14 +516,13 @@ func (m *Machine) instsToPageEnd(pc addr.VAddr) int {
 // Such a stretch cannot redirect, cross a page or touch the predictor, and
 // (with the periodic OS-pressure events disabled) nothing else touches the
 // iTLB or the CFR while it retires, so its per-fetch engine work is one
-// FetchTranslateRun call: CFR reads for the CFR schemes, one LookupRun for
-// Base, whose only possible walk falls on the first fetch. What remains per
-// slot is the iL1 block fill and the back-end accounting, bit-identical to
-// the scalar slots; the lazy VI-VT style still routes iL1 misses through
-// the ordinary OnIL1Miss event in program order. It returns the stretch's
-// length and stall cycles; 0 means nothing changed and the slot runs
-// scalar.
-func (m *Machine) commitStretch(room int) (n, stall int) {
+// Fetch call, whose only possible lookup falls on the first fetch. What
+// remains per slot is the iL1 block fill and the back-end accounting,
+// bit-identical to the scalar slots; the lazy VI-VT style still routes iL1
+// misses through the ordinary OnIL1Miss event in program order. It returns
+// the stretch's length, its stall cycles and whether it consulted the iTLB;
+// n = 0 means nothing changed and the slot runs scalar.
+func (m *Machine) commitStretch(room int) (n, stall int, usedTLB bool) {
 	if m.stepPos == stepBufLen {
 		m.refill()
 	}
@@ -552,17 +542,11 @@ func (m *Machine) commitStretch(room int) (n, stall int) {
 	if n == 0 || buf[0].PC != pc {
 		// Not plain, or machine and buffer disagree (the scalar slot owns
 		// the desync panic).
-		return 0, 0
+		return 0, 0, false
 	}
-	// The engine's qualify condition depends only on CFR state, which
-	// nothing in the stretch can change, and its per-fetch work is linear in
-	// the count after the first fetch, so one call covers the stretch
-	// exactly. Its stall is the first fetch's, which the group absorbs
-	// either way.
-	pfn, stall, ok := m.engine.FetchTranslateRun(m.geom.VPN(pc), uint64(n))
-	if !ok {
-		return 0, 0
-	}
+	// Only its first fetch can walk; the group absorbs that stall as it
+	// would a scalar slot's.
+	pfn, stall, usedTLB := m.engine.Fetch(pc, uint64(n), m.sequential, false)
 	// The back-end clock stays in a register (bc) for the whole stretch:
 	// the same float additions in the same order as accountCommit —
 	// invWidth per instruction, never n·invWidth, interleaved with each
@@ -591,7 +575,7 @@ func (m *Machine) commitStretch(room int) (n, stall int) {
 	m.paths.BulkCommitted += uint64(n)
 	m.stepPos += n
 	m.fetchPC = pc + addr.VAddr(n)*addr.InstBytes
-	return n, stall
+	return n, stall, usedTLB
 }
 
 // blockFill charges the iL1 probe of the block holding pc (and any L2/DRAM
@@ -618,9 +602,9 @@ func (m *Machine) blockFill(pc addr.VAddr, pfn uint64, wrong bool) int {
 	if r := m.il1.Access(uint64(pc), uint64(pc), false); r.Hit {
 		return 0
 	}
-	out := m.engine.OnIL1Miss(pc, m.sequential, wrong)
-	stall := out.StallCycles + m.l2Latency
-	if lr := physAccess(m.l2, out.PFN, false); !lr.Hit {
+	pa, stall := m.engine.OnIL1Miss(pc, m.sequential, wrong)
+	stall += m.l2Latency
+	if lr := physAccess(m.l2, pa, false); !lr.Hit {
 		stall += m.dramLatency
 	}
 	return stall
@@ -645,12 +629,11 @@ func (m *Machine) runWrongPath(start addr.VAddr, penalty uint64) {
 		groupStall := 0
 		for slot := 0; slot < w; slot++ {
 			if run := m.img.PlainRun(wp); run > 0 && m.batcher != nil {
-				if n, st := m.wrongStretch(wp, min(run, w-slot)); n > 0 {
-					groupStall += st
-					wp += addr.VAddr(n) * addr.InstBytes
-					slot += n - 1
-					continue
-				}
+				n, st := m.wrongStretch(wp, min(run, w-slot))
+				groupStall += st
+				wp += addr.VAddr(n) * addr.InstBytes
+				slot += n - 1
+				continue
 			}
 			in := m.img.At(wp)
 			st, _ := m.fetchInst(wp, true)
@@ -662,7 +645,7 @@ func (m *Machine) runWrongPath(start addr.VAddr, penalty uint64) {
 				continue
 			}
 			pred := m.pred.Predict(wp, in.Kind)
-			m.engine.OnCTIPredicted(wp, in, pred)
+			m.engine.OnCTIPredicted(in, pred)
 			if pred.Taken {
 				wp = pred.Target
 				m.sequential = false
@@ -675,19 +658,17 @@ func (m *Machine) runWrongPath(start addr.VAddr, penalty uint64) {
 }
 
 // wrongStretch retires the plain stretch of wrong-path fetches that starts
-// at wp: run fetches (the image's plain run there, which never leaves the
-// image, bounded by the group's remaining slots) cut at wp's page end, with
-// the per-fetch engine work batched by FetchTranslateRunWrong. It mirrors
-// those scalar slots exactly — counters, cache and CFR/iTLB state, stall
-// charges — and returns the stretch's length and stall cycles; 0 means
-// nothing changed and the slot runs scalar. Stubs are Jumps, so the image's
-// Plain bits are exactly the scalar slot's IsCTI test.
+// at wp: run ≥ 1 fetches (the image's plain run there, which never leaves
+// the image, bounded by the group's remaining slots) cut at wp's page end,
+// with the per-fetch engine work done by one Fetch call. It mirrors those
+// scalar slots exactly — counters, cache and CFR/iTLB state, stall charges —
+// and returns the stretch's length and stall cycles. Stubs are Jumps, so the
+// image's Plain bits are exactly the scalar slot's IsCTI test. Wrong-path
+// groups charge no PI-PT serialization cycle, so the iTLB use is dropped, as
+// in the scalar slots.
 func (m *Machine) wrongStretch(wp addr.VAddr, run int) (n, stall int) {
 	n = min(run, m.instsToPageEnd(wp))
-	pfn, stall, ok := m.engine.FetchTranslateRunWrong(m.geom.VPN(wp), uint64(n))
-	if !ok {
-		return 0, 0
-	}
+	pfn, stall, _ := m.engine.Fetch(wp, uint64(n), m.sequential, true)
 	// The fetches are sequential, so only the first one of each iL1 block
 	// can probe, and only the stretch's first fetch can carry
 	// sequential=false into a VI-VT miss.
