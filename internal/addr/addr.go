@@ -54,9 +54,6 @@ func (g Geometry) PageMask() uint64 { return g.PageBytes() - 1 }
 // VPN returns the virtual page number of va.
 func (g Geometry) VPN(va VAddr) uint64 { return uint64(va) >> g.PageBits }
 
-// PFNOf returns the physical frame number of pa.
-func (g Geometry) PFNOf(pa PAddr) uint64 { return uint64(pa) >> g.PageBits }
-
 // Offset returns the offset of va within its page.
 func (g Geometry) Offset(va VAddr) uint64 { return uint64(va) & g.PageMask() }
 

@@ -62,15 +62,18 @@ func (s StaticStats) InPageFrac() float64 {
 // trace, most importantly — must be mapped before it can drive the
 // compiled image.
 type AddrMap struct {
-	base     addr.VAddr
-	oldToNew []int
+	base addr.VAddr
+	// oldToNew holds compiled slot indices. int32 halves the map a trace
+	// replay keeps for its whole run; a trace image spans at most 4 MiB
+	// (1M slots), and no image comes near 2^31 slots.
+	oldToNew []int32
 }
 
 // Map returns the compiled address of the instruction that sat at old in
 // the input image. It panics if old is outside the input image, exactly as
 // indexing the input image would.
 func (m *AddrMap) Map(old addr.VAddr) addr.VAddr {
-	return addr.InstAddr(m.base, m.oldToNew[addr.InstIndex(m.base, old)])
+	return addr.InstAddr(m.base, int(m.oldToNew[addr.InstIndex(m.base, old)]))
 }
 
 // Compile runs the pass and returns the transformed image plus statistics.
@@ -91,13 +94,14 @@ func CompileWithMap(img *program.Image, opt Options) (*program.Image, *AddrMap, 
 }
 
 // relocate copies the image, optionally inserting a stub in the last slot of
-// each page and rewriting all targets through the old→new map.
+// each page and rewriting all targets, indirect target sets included,
+// through the old→new map.
 func relocate(img *program.Image, stubs bool) (*program.Image, *AddrMap) {
 	geom := img.Geom
 	oldCode := img.Code
 
 	newCode := make([]isa.Inst, 0, len(oldCode)+len(oldCode)/1024+8)
-	oldToNew := make([]int, len(oldCode))
+	oldToNew := make([]int32, len(oldCode))
 
 	for i := range oldCode {
 		if stubs {
@@ -112,13 +116,10 @@ func relocate(img *program.Image, stubs bool) (*program.Image, *AddrMap) {
 				})
 			}
 		}
-		oldToNew[i] = len(newCode)
+		oldToNew[i] = int32(len(newCode))
 		newCode = append(newCode, oldCode[i])
 	}
-
-	mapAddr := func(old addr.VAddr) addr.VAddr {
-		return addr.InstAddr(img.Base, oldToNew[addr.InstIndex(img.Base, old)])
-	}
+	amap := &AddrMap{base: img.Base, oldToNew: oldToNew}
 
 	for i := range newCode {
 		in := &newCode[i]
@@ -126,20 +127,27 @@ func relocate(img *program.Image, stubs bool) (*program.Image, *AddrMap) {
 			continue // stub targets are already in the new address space
 		}
 		if in.Kind.IsDirect() {
-			in.Target = mapAddr(in.Target)
-		}
-		if in.Kind == isa.IndJump && len(in.TargetSet) > 0 {
-			ts := make([]addr.VAddr, len(in.TargetSet))
-			for k, t := range in.TargetSet {
-				ts[k] = mapAddr(t)
-			}
-			in.TargetSet = ts
+			in.Target = amap.Map(in.Target)
 		}
 	}
 
-	out := program.NewImage(img.Name, img.Base, geom, newCode)
-	out.Entry = mapAddr(img.Entry)
-	return out, &AddrMap{base: img.Base, oldToNew: oldToNew}
+	targets := make(map[addr.VAddr][]addr.VAddr)
+	for i := range oldCode {
+		if oldCode[i].Kind != isa.IndJump {
+			continue
+		}
+		pc := addr.InstAddr(img.Base, i)
+		set := img.TargetSet(pc)
+		ts := make([]addr.VAddr, len(set))
+		for k, t := range set {
+			ts[k] = amap.Map(t)
+		}
+		targets[amap.Map(pc)] = ts
+	}
+
+	out := program.NewImage(img.Name, img.Base, geom, newCode, targets)
+	out.Entry = amap.Map(img.Entry)
+	return out, amap
 }
 
 // markInPage sets the SoLA bit on same-page direct CTIs and gathers the

@@ -18,7 +18,7 @@ func straightImage(n int) *program.Image {
 		code[i] = isa.Inst{Kind: isa.IntALU}
 	}
 	code[n] = isa.Inst{Kind: isa.Jump, Target: base}
-	return program.NewImage("straight", base, addr.DefaultGeometry, code)
+	return program.NewImage("straight", base, addr.DefaultGeometry, code, nil)
 }
 
 func TestNoStubsIsPureCopy(t *testing.T) {
@@ -116,7 +116,7 @@ func TestInPageMarking(t *testing.T) {
 	code[10] = isa.Inst{Kind: isa.CondBranch, Target: base + 40, TakenBias: 0.5} // in page 0
 	code[20] = isa.Inst{Kind: isa.Jump, Target: base + 4096 + 64}                // crosses to page 1
 	code[2047] = isa.Inst{Kind: isa.Jump, Target: base}                          // page 1 -> page 0
-	img := program.NewImage("mark", base, addr.DefaultGeometry, code)
+	img := program.NewImage("mark", base, addr.DefaultGeometry, code, nil)
 
 	out, st, err := Compile(img, Options{})
 	if err != nil {
@@ -136,12 +136,12 @@ func TestInPageMarking(t *testing.T) {
 func TestIndirectNotAnalyzable(t *testing.T) {
 	base := addr.VAddr(0x40_0000)
 	code := []isa.Inst{
-		{Kind: isa.IndJump, TargetSet: []addr.VAddr{base + 8, base + 12}},
+		{Kind: isa.IndJump},
 		{Kind: isa.Ret},
 		{Kind: isa.IntALU},
 		{Kind: isa.Jump, Target: base},
 	}
-	img := program.NewImage("ind", base, addr.DefaultGeometry, code)
+	img := program.NewImage("ind", base, addr.DefaultGeometry, code, map[addr.VAddr][]addr.VAddr{base: {base + 8, base + 12}})
 	_, st, err := Compile(img, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestIndirectTargetSetsRemapped(t *testing.T) {
 	for i := range img.Code {
 		in := &img.Code[i]
 		if in.Kind == isa.IndJump {
-			orig := img.At(in.TargetSet[0]).Kind
+			orig := img.At(img.TargetSet(addr.InstAddr(img.Base, i))[0]).Kind
 			var outIdx int
 			// Find the corresponding instruction in the compiled image by
 			// walking: count non-stub instructions.
@@ -182,7 +182,7 @@ func TestIndirectTargetSetsRemapped(t *testing.T) {
 				}
 				n++
 			}
-			comp := out.At(out.Code[outIdx].TargetSet[0]).Kind
+			comp := out.At(out.TargetSet(addr.InstAddr(out.Base, outIdx))[0]).Kind
 			if orig != comp {
 				t.Fatalf("indirect target kind changed: %v -> %v", orig, comp)
 			}
@@ -253,7 +253,7 @@ func TestCompileRandomImagesProperty(t *testing.T) {
 			}
 		}
 		code[n-1] = isa.Inst{Kind: isa.Jump, Target: base}
-		img := program.NewImage("prop", base, addr.DefaultGeometry, code)
+		img := program.NewImage("prop", base, addr.DefaultGeometry, code, nil)
 		out, _, err := Compile(img, Options{InsertBoundaryStubs: true})
 		if err != nil {
 			return false

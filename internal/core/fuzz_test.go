@@ -94,7 +94,7 @@ func refFetchTranslate(e *Engine, pc addr.VAddr, sequential, wrongPath bool) ref
 	case HoA:
 		e.stats.Comparisons++
 		if e.meter != nil {
-			e.meter.AddComparison()
+			e.meter.AddComparisons(1)
 		}
 		if e.cfr.Covers(vpn) {
 			return refCFRHit(e, pc)
@@ -121,7 +121,7 @@ func refFetchTranslate(e *Engine, pc addr.VAddr, sequential, wrongPath bool) ref
 func refCFRHit(e *Engine, pc addr.VAddr) refOutcome {
 	e.stats.CFRHits++
 	if e.meter != nil {
-		e.meter.AddCFRRead()
+		e.meter.AddCFRReads(1)
 	}
 	return refOutcome{PFN: e.geom.Translate(e.cfr.PFN, pc)}
 }
@@ -134,7 +134,7 @@ func refOnFetchObserved(e *Engine, pc addr.VAddr) {
 	}
 	e.stats.Comparisons++
 	if e.meter != nil {
-		e.meter.AddComparison()
+		e.meter.AddComparisons(1)
 	}
 }
 
@@ -214,7 +214,7 @@ func FuzzFetchMatchesScalarReference(f *testing.F) {
 						refOnFetchObserved(r, kpc)
 					} else {
 						out = refFetchTranslate(r, kpc, seq || k > 0, wrong)
-						out.PFN = addr.PAddr(geom.PFNOf(out.PFN))
+						out.PFN = addr.PAddr(uint64(out.PFN) >> geom.PageBits)
 					}
 					if k > 0 && out.PFN != want.PFN {
 						t.Fatalf("op %d: reference frame changed inside the run", i/4)

@@ -177,23 +177,14 @@ func (mt *Meter) AddAccesses(level int, n uint64) { mt.Accesses[level] += n }
 // AddMiss records one miss (and refill) at the given TLB level.
 func (mt *Meter) AddMiss(level int) { mt.Misses[level]++ }
 
-// AddComparison records one CFR comparator operation.
-func (mt *Meter) AddComparison() { mt.Comparisons++ }
-
 // AddComparisons records n comparator operations at once (bulk fetch runs).
 func (mt *Meter) AddComparisons(n uint64) { mt.Comparisons += n }
-
-// AddCFRRead records a translation served directly from the CFR.
-func (mt *Meter) AddCFRRead() { mt.CFRReads++ }
 
 // AddCFRReads records n CFR-served translations at once (bulk fetch runs).
 func (mt *Meter) AddCFRReads(n uint64) { mt.CFRReads += n }
 
 // AddCFRWrite records a CFR refill.
 func (mt *Meter) AddCFRWrite() { mt.CFRWrites++ }
-
-// AddStub records execution of one BOUNDARY stub instruction.
-func (mt *Meter) AddStub() { mt.StubInsts++ }
 
 // AddStubs records n BOUNDARY stub executions at once.
 func (mt *Meter) AddStubs(n uint64) { mt.StubInsts += n }

@@ -84,10 +84,10 @@ func TestMeterAccumulation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mt.AddMiss(0)
 	}
-	mt.AddComparison()
-	mt.AddCFRRead()
+	mt.AddComparisons(1)
+	mt.AddCFRReads(1)
 	mt.AddCFRWrite()
-	mt.AddStub()
+	mt.AddStubs(1)
 
 	want := 1000*m.TLBAccess(32, 32) + 10*m.TLBRefill(32, 32) +
 		m.Comparator() + m.CFRRead() + m.CFRWrite() + m.StubInst()

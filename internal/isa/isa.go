@@ -99,24 +99,24 @@ func (k Kind) IsMem() bool { return memMask&(1<<k) != 0 }
 // Inst is one decoded instruction of the synthetic code image.
 //
 // The struct carries both architectural fields (Kind, Target, InPage,
-// BoundaryStub) and synthetic-workload behavioural fields (TakenBias,
-// TargetSet) that stand in for program semantics: a real benchmark binary
-// decides branch outcomes from data, our code images decide them from a
-// deterministic per-site random stream biased by TakenBias.
+// BoundaryStub) and a synthetic-workload behavioural field (TakenBias) that
+// stands in for program semantics: a real benchmark binary decides branch
+// outcomes from data, our code images decide them from a deterministic
+// per-site random stream biased by TakenBias. Facts about an instruction
+// that the image can hold more compactly live there instead: an IndJump's
+// target set (program.Image.TargetSet) and whether the slot is plain
+// (program.Image.PlainRun). Fields are ordered so that Inst packs into 16
+// bytes; images hold one per instruction slot.
 type Inst struct {
-	Kind Kind
-
 	// Target is the statically encoded destination for direct CTIs.
 	Target addr.VAddr
-
-	// TargetSet holds the possible destinations of an IndJump. Ret ignores
-	// it (targets come from the call stack).
-	TargetSet []addr.VAddr
 
 	// TakenBias is the probability that a CondBranch is taken. Biased sites
 	// (near 0 or 1) model loops and error checks; balanced sites model
 	// data-dependent control flow and bound the bimodal predictor's accuracy.
 	TakenBias float32
+
+	Kind Kind
 
 	// InPage is the compiler-set SoLA bit (§3.3.3): the branch is direct and
 	// its target lies in the same virtual page as the branch itself, so no
@@ -131,13 +131,6 @@ type Inst struct {
 	// DataStream selects which synthetic data address stream a Load/Store
 	// uses; streams have distinct working sets and strides.
 	DataStream uint8
-
-	// Plain caches !Kind.IsCTI() && !BoundaryStub. program.NewImage derives
-	// it for every instruction; the pipeline's plain stretches test it
-	// instead of re-deriving both conditions per instruction. An unset Plain
-	// on instructions built outside NewImage merely keeps those instructions
-	// off the fast path — never an incorrect result.
-	Plain bool
 }
 
 // Latency returns the execution latency in cycles for the back-end model.

@@ -1,6 +1,10 @@
 package isa
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
 
 func TestKindClassification(t *testing.T) {
 	cases := []struct {
@@ -67,5 +71,26 @@ func TestLatencyPositive(t *testing.T) {
 	}
 	if FPMul.Latency() <= FPALU.Latency() {
 		t.Error("FPMul should be slower than FPALU")
+	}
+}
+
+// TestInstSize pins Inst at 16 bytes: code images hold one per instruction
+// slot, so each byte here is a byte per slot of every image. Facts that not
+// every instruction needs belong in program.Image, not in Inst.
+func TestInstSize(t *testing.T) {
+	want := map[string]uintptr{
+		"Target": 8, "TakenBias": 4, "Kind": 1, "InPage": 1, "BoundaryStub": 1, "DataStream": 1,
+	}
+	typ := reflect.TypeOf(Inst{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if w, ok := want[f.Name]; !ok {
+			t.Errorf("Inst gained field %s (%d bytes)", f.Name, f.Type.Size())
+		} else if f.Type.Size() != w {
+			t.Errorf("Inst.%s grew from %d to %d bytes", f.Name, w, f.Type.Size())
+		}
+	}
+	if got := unsafe.Sizeof(Inst{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Inst{}) = %d, want 16 (field order or padding changed?)", got)
 	}
 }

@@ -290,7 +290,7 @@ func branchyImage(insts int) *program.Image {
 	mid := insts / 2
 	code[mid] = isa.Inst{Kind: isa.CondBranch, Target: addr.InstAddr(base, mid+8), TakenBias: 0.5}
 	code[insts-1] = isa.Inst{Kind: isa.Jump, Target: base}
-	return program.NewImage("branchy", base, addr.DefaultGeometry, code)
+	return program.NewImage("branchy", base, addr.DefaultGeometry, code, nil)
 }
 
 // TestPIPTMispredictSerialization is the regression test for the

@@ -58,7 +58,7 @@ func loopImage(insts int) *program.Image {
 		code[i] = isa.Inst{Kind: isa.IntALU}
 	}
 	code[insts-1] = isa.Inst{Kind: isa.Jump, Target: base}
-	return program.NewImage("loop", base, addr.DefaultGeometry, code)
+	return program.NewImage("loop", base, addr.DefaultGeometry, code, nil)
 }
 
 func TestStraightLineIPC(t *testing.T) {
@@ -89,7 +89,7 @@ func TestMispredictionCostsCycles(t *testing.T) {
 			{Kind: isa.IntALU},
 			{Kind: isa.Jump, Target: base},
 		}
-		img := program.NewImage("br", base, addr.DefaultGeometry, code)
+		img := program.NewImage("br", base, addr.DefaultGeometry, code, nil)
 		return buildMachine(t, img, core.Base, cache.VIPT)
 	}
 	predictable := mk(0.98)
@@ -119,7 +119,7 @@ func TestWrongPathFetchesHappen(t *testing.T) {
 		{Kind: isa.IntALU},
 		{Kind: isa.Jump, Target: base},
 	}
-	img := program.NewImage("wp", base, addr.DefaultGeometry, code)
+	img := program.NewImage("wp", base, addr.DefaultGeometry, code, nil)
 	m := buildMachine(t, img, core.Base, cache.VIPT)
 	r := m.Run(20000)
 	if r.WrongPathFetches == 0 {
@@ -203,7 +203,7 @@ func TestStubsDoNotCountAsCommitted(t *testing.T) {
 	}
 	code[1023] = isa.Inst{Kind: isa.Jump, Target: base + 4096, BoundaryStub: true}
 	code[2047] = isa.Inst{Kind: isa.Jump, Target: base}
-	img := program.NewImage("stubs", base, addr.DefaultGeometry, code)
+	img := program.NewImage("stubs", base, addr.DefaultGeometry, code, nil)
 	m := buildMachine(t, img, core.SoCA, cache.VIPT)
 	r := m.Run(10000)
 	if r.Committed != 10000 {
@@ -222,7 +222,7 @@ func TestDataCFRAvoidsDTLBLookups(t *testing.T) {
 		{Kind: isa.IntALU},
 		{Kind: isa.Jump, Target: base},
 	}
-	img := program.NewImage("dcfr", base, addr.DefaultGeometry, code)
+	img := program.NewImage("dcfr", base, addr.DefaultGeometry, code, nil)
 
 	mk := func(enable bool) Result {
 		geom := img.Geom

@@ -22,7 +22,7 @@ func straightImage(insts int) *program.Image {
 		code[i] = isa.Inst{Kind: isa.IntALU}
 	}
 	code[insts-1] = isa.Inst{Kind: isa.Jump, Target: base}
-	return program.NewImage("straight", base, addr.DefaultGeometry, code)
+	return program.NewImage("straight", base, addr.DefaultGeometry, code, nil)
 }
 
 // timingCell pins the exact cycle count and event counts of one

@@ -35,31 +35,37 @@ type Image struct {
 	// wrong-path fetch).
 	nop isa.Inst
 
-	// plainRun[i] is the number of consecutive Plain instructions starting
-	// at Code[i], saturating at 255 (the pipeline's wrong-path fetch reads
-	// it to batch a stretch of plain fetches).
+	// plainRun[i] is the number of consecutive plain instructions (neither
+	// a CTI nor a BOUNDARY stub) starting at Code[i], saturating at 255. It
+	// is the image's one record of which slots are plain: the executor and
+	// the trace replay set Step.Plain from it, and the pipeline's wrong-path
+	// fetch reads it to batch a stretch of plain fetches.
 	plainRun []uint8
+
+	// targets holds each IndJump's possible destinations, keyed by the
+	// jump's address. Only indirect jumps need a set, so the table keeps
+	// the per-instruction Inst small.
+	targets map[addr.VAddr][]addr.VAddr
 }
 
-// NewImage wraps code into an image. Entry defaults to Base. The derived
-// per-instruction Plain bit and the plain-run lengths are (re)computed here
-// so every constructor path agrees with the Kind/BoundaryStub fields they
-// summarize.
-func NewImage(name string, base addr.VAddr, geom addr.Geometry, code []isa.Inst) *Image {
+// NewImage wraps code into an image. Entry defaults to Base. targets holds
+// each IndJump's possible destinations keyed by the jump's address (nil when
+// the image has no indirect jumps); the image keeps both code and targets,
+// and Validate checks them. The plain-run lengths are computed here from the
+// Kind and BoundaryStub fields they summarize, so code must not change those
+// fields afterwards.
+func NewImage(name string, base addr.VAddr, geom addr.Geometry, code []isa.Inst, targets map[addr.VAddr][]addr.VAddr) *Image {
 	run := make([]uint8, len(code))
 	next := 0 // plain run length starting at code[i+1]
 	for i := len(code) - 1; i >= 0; i-- {
-		code[i].Plain = !code[i].Kind.IsCTI() && !code[i].BoundaryStub
-		if !code[i].Plain {
+		if code[i].Kind.IsCTI() || code[i].BoundaryStub {
 			next = 0
 		} else if next < 255 {
 			next++
 		}
 		run[i] = uint8(next)
 	}
-	im := &Image{Name: name, Base: base, Code: code, Geom: geom, Entry: base, plainRun: run}
-	im.nop.Plain = true
-	return im
+	return &Image{Name: name, Base: base, Code: code, Geom: geom, Entry: base, plainRun: run, targets: targets}
 }
 
 // Len returns the number of instructions.
@@ -101,6 +107,11 @@ func (im *Image) PlainRun(pc addr.VAddr) int {
 	return 0
 }
 
+// TargetSet returns the possible destinations of the IndJump at pc, in the
+// order the producer recorded them (the executor favours the first); nil
+// when none were recorded. The slice must be treated as read-only.
+func (im *Image) TargetSet(pc addr.VAddr) []addr.VAddr { return im.targets[pc] }
+
 // Pages returns the number of virtual pages the image spans.
 func (im *Image) Pages() int {
 	if len(im.Code) == 0 {
@@ -112,8 +123,10 @@ func (im *Image) Pages() int {
 }
 
 // Validate checks that every encoded target lands inside the image on an
-// instruction boundary.
+// instruction boundary, and that target sets are recorded exactly for the
+// image's indirect jumps.
 func (im *Image) Validate() error {
+	indirect := 0
 	for i := range im.Code {
 		in := &im.Code[i]
 		pc := addr.InstAddr(im.Base, i)
@@ -124,16 +137,22 @@ func (im *Image) Validate() error {
 			}
 		}
 		if in.Kind == isa.IndJump {
-			if len(in.TargetSet) == 0 {
+			indirect++
+			ts := im.targets[pc]
+			if len(ts) == 0 {
 				return fmt.Errorf("program %s: ijmp at %#x has empty target set", im.Name, uint64(pc))
 			}
-			for _, tgt := range in.TargetSet {
+			for _, tgt := range ts {
 				if !im.Contains(tgt) {
 					return fmt.Errorf("program %s: ijmp at %#x targets %#x outside image",
 						im.Name, uint64(pc), uint64(tgt))
 				}
 			}
 		}
+	}
+	if len(im.targets) != indirect {
+		return fmt.Errorf("program %s: %d target sets recorded for %d indirect jumps",
+			im.Name, len(im.targets), indirect)
 	}
 	if !im.Contains(im.Entry) {
 		return fmt.Errorf("program %s: entry %#x outside image", im.Name, uint64(im.Entry))
@@ -145,12 +164,15 @@ func (im *Image) Validate() error {
 type Step struct {
 	PC    addr.VAddr
 	Inst  *isa.Inst
-	Taken bool     // CTIs: whether control transferred
-	Kind  isa.Kind // copy of Inst.Kind: the pipeline's stretches read the
-	// kind and plain bits per slot, and the copies keep that read inside the
-	// sequentially written step buffer instead of chasing Inst into a code
-	// image that may be far larger than the L1 cache.
-	Plain bool       // copy of Inst.Plain
+	Taken bool // CTIs: whether control transferred
+	// Kind copies Inst.Kind, and Plain is !Kind.IsCTI() &&
+	// !Inst.BoundaryStub, read from the image's plain-run table
+	// (Image.PlainRun(PC) > 0). The pipeline's stretches read both per slot,
+	// and the copies keep that read inside the sequentially written step
+	// buffer instead of chasing Inst into a code image that may be far
+	// larger than the L1 cache.
+	Kind  isa.Kind
+	Plain bool
 	Next  addr.VAddr // address of the next instruction on the correct path
 	Data  addr.VAddr // Load/Store: effective data address
 }
@@ -290,19 +312,20 @@ func (ex *Executor) Step() Step {
 func (ex *Executor) StepN(dst []Step) {
 	img := ex.img
 	base, end := img.Base, ex.end
-	code := img.Code
+	code, run := img.Code, img.plainRun
 	pc := ex.pc
 	for i := range dst {
 		st := &dst[i]
 		if pc < base || pc >= end {
 			panic(fmt.Sprintf("program %s: correct path escaped image at %#x", img.Name, uint64(pc)))
 		}
-		in := &code[(pc-base)/addr.InstBytes]
+		idx := (pc - base) / addr.InstBytes
+		in := &code[idx]
 		st.PC = pc
 		st.Inst = in
 		st.Taken = false
 		st.Kind = in.Kind
-		st.Plain = in.Plain
+		st.Plain = run[idx] != 0
 		st.Data = 0
 		next := pc + addr.InstBytes
 		switch in.Kind {
@@ -330,7 +353,7 @@ func (ex *Executor) StepN(dst []Step) {
 			}
 		case isa.IndJump:
 			st.Taken = true
-			next = ex.pickIndirect(in)
+			next = ex.pickIndirect(pc)
 		case isa.Load, isa.Store:
 			st.Data = ex.nextData(int(in.DataStream))
 		}
@@ -348,12 +371,13 @@ func (ex *Executor) stepInto(st *Step) {
 	if pc < img.Base || pc >= ex.end {
 		panic(fmt.Sprintf("program %s: correct path escaped image at %#x", img.Name, uint64(pc)))
 	}
-	in := &img.Code[(pc-img.Base)/addr.InstBytes]
+	idx := (pc - img.Base) / addr.InstBytes
+	in := &img.Code[idx]
 	st.PC = pc
 	st.Inst = in
 	st.Taken = false
 	st.Kind = in.Kind
-	st.Plain = in.Plain
+	st.Plain = img.plainRun[idx] != 0
 	st.Next = pc + addr.InstBytes
 	st.Data = 0
 
@@ -384,7 +408,7 @@ func (ex *Executor) stepInto(st *Step) {
 		}
 	case isa.IndJump:
 		st.Taken = true
-		st.Next = ex.pickIndirect(in)
+		st.Next = ex.pickIndirect(pc)
 	case isa.Load, isa.Store:
 		st.Data = ex.nextData(int(in.DataStream))
 	}
@@ -440,11 +464,11 @@ func (ex *Executor) RestoreState(state SourceState) error {
 	return nil
 }
 
-// pickIndirect selects an indirect target, skewed toward the first entry so
-// the BTB retains usable accuracy (real indirect branches are dominated by
-// one hot target).
-func (ex *Executor) pickIndirect(in *isa.Inst) addr.VAddr {
-	ts := in.TargetSet
+// pickIndirect selects the target of the IndJump at pc, skewed toward the
+// first entry of its set so the BTB retains usable accuracy (real indirect
+// branches are dominated by one hot target).
+func (ex *Executor) pickIndirect(pc addr.VAddr) addr.VAddr {
+	ts := ex.img.targets[pc]
 	if len(ts) == 1 {
 		return ts[0]
 	}

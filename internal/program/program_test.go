@@ -16,7 +16,7 @@ func tinyLoop(bias float32) *Image {
 		{Kind: isa.CondBranch, Target: base, TakenBias: bias},
 		{Kind: isa.Jump, Target: base},
 	}
-	return NewImage("tiny", base, addr.DefaultGeometry, code)
+	return NewImage("tiny", base, addr.DefaultGeometry, code, nil)
 }
 
 func TestImageBasics(t *testing.T) {
@@ -69,7 +69,7 @@ func TestPlainRunMatchesNaiveScan(t *testing.T) {
 		}
 	}
 	code[1015] = isa.Inst{Kind: isa.IntALU, BoundaryStub: true} // a stub is never plain
-	im := NewImage("runs", base, addr.DefaultGeometry, code)
+	im := NewImage("runs", base, addr.DefaultGeometry, code, nil)
 	saturated := false
 	for i := range code {
 		naive := 0
@@ -115,12 +115,23 @@ func TestValidateCatchesBadTargets(t *testing.T) {
 	if err := im3.Validate(); err == nil {
 		t.Error("Validate should reject bad entry")
 	}
+	loop := tinyLoop(0.5)
+	im4 := NewImage("stray", loop.Base, loop.Geom, loop.Code,
+		map[addr.VAddr][]addr.VAddr{loop.Base: {loop.Base}})
+	if err := im4.Validate(); err == nil {
+		t.Error("Validate should reject a target set on a non-indirect instruction")
+	}
+	im5 := NewImage("ijmp", loop.Base, loop.Geom, []isa.Inst{{Kind: isa.IndJump}},
+		map[addr.VAddr][]addr.VAddr{loop.Base: {loop.End()}})
+	if err := im5.Validate(); err == nil {
+		t.Error("Validate should reject an indirect target outside the image")
+	}
 }
 
 func TestPagesSpanning(t *testing.T) {
 	base := addr.VAddr(0x1000)
 	code := make([]isa.Inst, 3000) // 12000 bytes: pages 1,2,3 of 4KB
-	im := NewImage("span", base, addr.DefaultGeometry, code)
+	im := NewImage("span", base, addr.DefaultGeometry, code, nil)
 	if im.Pages() != 3 {
 		t.Errorf("Pages = %d, want 3", im.Pages())
 	}
@@ -191,7 +202,7 @@ func TestCallReturnMatching(t *testing.T) {
 		{Kind: isa.IntALU},
 		{Kind: isa.Ret},
 	}
-	im := NewImage("callret", base, addr.DefaultGeometry, code)
+	im := NewImage("callret", base, addr.DefaultGeometry, code, nil)
 	if err := im.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +221,7 @@ func TestCallReturnMatching(t *testing.T) {
 func TestUnmatchedReturnRestartsAtEntry(t *testing.T) {
 	base := addr.VAddr(0x40_0000)
 	code := []isa.Inst{{Kind: isa.Ret}}
-	im := NewImage("ret", base, addr.DefaultGeometry, code)
+	im := NewImage("ret", base, addr.DefaultGeometry, code, nil)
 	ex := NewExecutor(im, 1, nil)
 	s := ex.Step()
 	if s.Next != im.Entry {
@@ -222,12 +233,12 @@ func TestIndirectJumpSkew(t *testing.T) {
 	base := addr.VAddr(0x40_0000)
 	t0, t1 := base+8, base+12
 	code := []isa.Inst{
-		{Kind: isa.IndJump, TargetSet: []addr.VAddr{t0, t1}},
+		{Kind: isa.IndJump},
 		{Kind: isa.IntALU},
 		{Kind: isa.Jump, Target: base}, // t0
 		{Kind: isa.Jump, Target: base}, // t1
 	}
-	im := NewImage("ijmp", base, addr.DefaultGeometry, code)
+	im := NewImage("ijmp", base, addr.DefaultGeometry, code, map[addr.VAddr][]addr.VAddr{base: {t0, t1}})
 	ex := NewExecutor(im, 5, nil)
 	hot := 0
 	total := 0
@@ -253,7 +264,7 @@ func TestDataStreams(t *testing.T) {
 		{Kind: isa.Store, DataStream: 1},
 		{Kind: isa.Jump, Target: base},
 	}
-	im := NewImage("mem", base, addr.DefaultGeometry, code)
+	im := NewImage("mem", base, addr.DefaultGeometry, code, nil)
 	streams := []DataStreamConfig{
 		{Base: 0x1000_0000, WorkingSetBytes: 1 << 12, StrideBytes: 8},
 		{Base: 0x2000_0000, WorkingSetBytes: 1 << 12, StrideBytes: 64},

@@ -189,10 +189,15 @@ func (r *Replay) build(wantKey string, geom addr.Geometry, stubs bool) error {
 	base := geom.PageBase(addr.VAddr(st.MinPC))
 	slots := int((st.MaxPC-uint64(base))/addr.InstBytes) + 1
 	code := make([]isa.Inst, slots) // zero value = IntALU
+	targets := make(map[addr.VAddr][]addr.VAddr)
 	for pc, sp := range sites {
-		code[(pc-uint64(base))/addr.InstBytes] = classify(addr.VAddr(pc), sp)
+		in, ts := classify(addr.VAddr(pc), sp)
+		code[(pc-uint64(base))/addr.InstBytes] = in
+		if ts != nil {
+			targets[addr.VAddr(pc)] = ts
+		}
 	}
-	img := program.NewImage("trace", base, geom, code)
+	img := program.NewImage("trace", base, geom, code, targets)
 	img.Entry = addr.VAddr(first.PC)
 
 	compiled, amap, _, err := compiler.CompileWithMap(img, compiler.Options{InsertBoundaryStubs: stubs})
@@ -210,25 +215,26 @@ func (r *Replay) build(wantKey string, geom addr.Geometry, stubs bool) error {
 	return nil
 }
 
-// classify turns one observed branch site into an instruction.
-func classify(pc addr.VAddr, sp *site) isa.Inst {
+// classify turns one observed branch site into an instruction, plus the
+// target set when that instruction is an IndJump (nil otherwise).
+func classify(pc addr.VAddr, sp *site) (isa.Inst, []addr.VAddr) {
 	switch {
 	case len(sp.targets) == 0:
 		// Never seen taken (or its only taken occurrence ended the trace):
 		// a conditional that falls through. Target self-fall-through keeps
 		// the image valid without inventing control flow.
-		return isa.Inst{Kind: isa.CondBranch, Target: pc + addr.InstBytes, TakenBias: 0}
+		return isa.Inst{Kind: isa.CondBranch, Target: pc + addr.InstBytes, TakenBias: 0}, nil
 	case len(sp.targets) == 1 && sp.notTaken > 0:
 		bias := float64(sp.taken) / float64(sp.taken+sp.notTaken)
-		return isa.Inst{Kind: isa.CondBranch, Target: addr.VAddr(sp.targets[0]), TakenBias: float32(bias)}
+		return isa.Inst{Kind: isa.CondBranch, Target: addr.VAddr(sp.targets[0]), TakenBias: float32(bias)}, nil
 	case len(sp.targets) == 1:
-		return isa.Inst{Kind: isa.Jump, Target: addr.VAddr(sp.targets[0]), TakenBias: 1}
+		return isa.Inst{Kind: isa.Jump, Target: addr.VAddr(sp.targets[0]), TakenBias: 1}, nil
 	default:
 		ts := make([]addr.VAddr, len(sp.targets))
 		for i, t := range sp.targets {
 			ts[i] = addr.VAddr(t)
 		}
-		return isa.Inst{Kind: isa.IndJump, TargetSet: ts, TakenBias: 1}
+		return isa.Inst{Kind: isa.IndJump, TakenBias: 1}, ts
 	}
 }
 
@@ -314,7 +320,7 @@ func (r *Replay) step() program.Step {
 		if !in.BoundaryStub {
 			panic(fmt.Sprintf("trace: expected BOUNDARY stub at %#x", uint64(r.stubPC)))
 		}
-		st := program.Step{PC: r.stubPC, Inst: in, Taken: true, Kind: in.Kind, Plain: in.Plain, Next: r.stubNext}
+		st := program.Step{PC: r.stubPC, Inst: in, Taken: true, Kind: in.Kind, Next: r.stubNext}
 		r.stubPC, r.stubNext = 0, 0
 		return st
 	}
@@ -330,7 +336,7 @@ func (r *Replay) step() program.Step {
 		if err := r.rewind(); err != nil {
 			panic(fmt.Sprintf("trace: %v", err))
 		}
-		return program.Step{PC: pcN, Inst: &r.wrapInst, Taken: true, Kind: r.wrapInst.Kind, Plain: r.wrapInst.Plain, Next: r.entry}
+		return program.Step{PC: pcN, Inst: &r.wrapInst, Taken: true, Kind: r.wrapInst.Kind, Next: r.entry}
 	}
 	if err != nil {
 		panic(fmt.Sprintf("trace: replay desynchronized from validated stream: %v", err))
@@ -341,7 +347,7 @@ func (r *Replay) step() program.Step {
 	r.cur = nx
 
 	in := r.img.At(pcN)
-	st := program.Step{PC: pcN, Inst: in, Taken: cur.Taken, Kind: in.Kind, Plain: in.Plain}
+	st := program.Step{PC: pcN, Inst: in, Taken: cur.Taken, Kind: in.Kind, Plain: r.img.PlainRun(pcN) != 0}
 	nxN := r.amap.Map(addr.VAddr(nx.PC))
 	if cur.Taken {
 		st.Next = nxN

@@ -53,7 +53,7 @@ func TestTranslatePreservesOffset(t *testing.T) {
 	if g.Offset(addr.VAddr(pa)) != g.Offset(va) {
 		t.Error("translation must preserve page offset")
 	}
-	if g.PFNOf(pa) != as.Walk(g.VPN(va)) {
+	if uint64(pa)>>g.PageBits != as.Walk(g.VPN(va)) {
 		t.Error("translated frame must match page table")
 	}
 }

@@ -168,7 +168,7 @@ func Generate(p Profile) (*program.Image, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := &generator{p: p, rng: xrand.New(p.Seed)}
+	g := &generator{p: p, rng: xrand.New(p.Seed), targets: make(map[addr.VAddr][]addr.VAddr)}
 	img := g.build()
 	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("workload %q: generated invalid image: %w", p.Name, err)
@@ -189,7 +189,8 @@ type generator struct {
 	p   Profile
 	rng *xrand.Source
 
-	code []isa.Inst
+	code    []isa.Inst
+	targets map[addr.VAddr][]addr.VAddr // IndJump target sets by site address
 
 	hotStart    []int   // entry index of each group's hot function
 	workerStart [][]int // entry index of each group's workers
@@ -231,7 +232,7 @@ func (g *generator) build() *program.Image {
 		}
 	}
 
-	img := program.NewImage(p.Name, CodeBase, addr.DefaultGeometry, g.code)
+	img := program.NewImage(p.Name, CodeBase, addr.DefaultGeometry, g.code, g.targets)
 	img.Entry = CodeBase
 	return img
 }
@@ -518,7 +519,8 @@ func (g *generator) indJump(gi, wi, i, last int) isa.Inst {
 		seen[t] = true
 		set = append(set, t)
 	}
-	return isa.Inst{Kind: isa.IndJump, TargetSet: set}
+	g.targets[g.addrOf(i)] = set
+	return isa.Inst{Kind: isa.IndJump}
 }
 
 func (g *generator) plainInst() isa.Inst {
