@@ -8,9 +8,11 @@ import (
 	"sync"
 	"testing"
 
+	"itlbcfr/internal/addr"
 	"itlbcfr/internal/cache"
 	"itlbcfr/internal/core"
 	"itlbcfr/internal/energy"
+	"itlbcfr/internal/isa"
 	"itlbcfr/internal/program"
 	"itlbcfr/internal/sim"
 	"itlbcfr/internal/workload"
@@ -95,10 +97,18 @@ func TestImageTableMatchesRun(t *testing.T) {
 	}
 }
 
-// codeHash fingerprints everything a simulation reads from an image.
+// codeHash fingerprints everything a simulation reads from an image: the
+// code, each slot's plain run and each indirect jump's target set.
 func codeHash(img *program.Image) string {
 	h := sha256.New()
 	fmt.Fprint(h, img.Name, img.Base, img.Entry, img.Geom, img.Code)
+	for i := range img.Code {
+		pc := addr.InstAddr(img.Base, i)
+		fmt.Fprint(h, img.PlainRun(pc))
+		if img.Code[i].Kind == isa.IndJump {
+			fmt.Fprint(h, pc, img.TargetSet(pc))
+		}
+	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
@@ -154,6 +164,26 @@ func TestImageTableSharesReadOnlyImages(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Images != 4 {
 		t.Errorf("pool holds %d images, want 4 (shared, no-stub, 8KB page, reseeded)", st.Images)
+	}
+
+	// mesa executes no indirect jump at these lengths; vortex executes
+	// dozens, so a simulation writing through a shared target set shows here.
+	vortex, err := workload.ByName("vortex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vo := base
+	vo.Profile = vortex
+	vshared := image(vo, pool)
+	vbefore := codeHash(vshared)
+	for _, sc := range []core.Scheme{core.Base, core.IA} {
+		vo.Scheme = sc
+		if _, err := sim.RunWith(vo, pool); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if codeHash(vshared) != vbefore {
+		t.Error("running vortex simulations modified its shared image")
 	}
 }
 
