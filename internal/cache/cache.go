@@ -77,10 +77,6 @@ func (s *Style) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// NeedsTranslationEveryFetch reports whether the style consumes a physical
-// address on every instruction fetch (the "eager" styles).
-func (s Style) NeedsTranslationEveryFetch() bool { return s != VIVT }
-
 // Config describes one cache.
 type Config struct {
 	SizeBytes  int
@@ -295,19 +291,6 @@ func (c *Cache) fillWay(w int, ib, tb uint64, write bool) Result {
 	return Result{Hit: false, WriteBack: wb}
 }
 
-// Probe reports whether the block is resident without updating LRU or
-// filling — used by oracle accounting.
-func (c *Cache) Probe(indexAddr, tagAddr uint64) bool {
-	base := int((indexAddr>>c.blockBits)&c.setMask) * c.assoc
-	want := tagAddr>>c.blockBits | validFlag
-	for w := base; w < base+c.assoc; w++ {
-		if c.tags[w]&^uint64(dirtyFlag) == want {
-			return true
-		}
-	}
-	return false
-}
-
 // Flush invalidates every line, returning how many dirty lines were dropped.
 func (c *Cache) Flush() int {
 	dirty := 0
@@ -407,12 +390,4 @@ func (c *Cache) MissRate() float64 {
 		return 0
 	}
 	return float64(c.stats.Misses) / float64(c.stats.Accesses)
-}
-
-// BlockBytes returns the block size.
-func (c *Cache) BlockBytes() int { return c.cfg.BlockBytes }
-
-// SameBlock reports whether two addresses fall in the same cache block.
-func (c *Cache) SameBlock(a, b uint64) bool {
-	return a>>c.blockBits == b>>c.blockBits
 }

@@ -37,12 +37,6 @@ func TestStyleString(t *testing.T) {
 	if VIVT.String() != "VI-VT" || VIPT.String() != "VI-PT" || PIPT.String() != "PI-PT" {
 		t.Error("style names wrong")
 	}
-	if !VIPT.NeedsTranslationEveryFetch() || !PIPT.NeedsTranslationEveryFetch() {
-		t.Error("VI-PT and PI-PT are eager styles")
-	}
-	if VIVT.NeedsTranslationEveryFetch() {
-		t.Error("VI-VT is lazy")
-	}
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -138,19 +132,6 @@ func TestWriteIgnoredWhenNotWriteBack(t *testing.T) {
 	}
 }
 
-func TestProbeDoesNotFill(t *testing.T) {
-	c := New(il1())
-	if c.Probe(0x40, 0x40) {
-		t.Error("probe of cold cache should be false")
-	}
-	if r := c.Access(0x40, 0x40, false); r.Hit {
-		t.Error("probe must not have filled the line")
-	}
-	if !c.Probe(0x40, 0x40) {
-		t.Error("probe after fill should be true")
-	}
-}
-
 func TestFlush(t *testing.T) {
 	cfg := il1()
 	cfg.WriteBack = true
@@ -162,16 +143,6 @@ func TestFlush(t *testing.T) {
 	}
 	if r := c.Access(0, 0, false); r.Hit {
 		t.Error("flushed line should miss")
-	}
-}
-
-func TestSameBlock(t *testing.T) {
-	c := New(il1())
-	if !c.SameBlock(0x100, 0x11F) {
-		t.Error("0x100 and 0x11F share a 32B block")
-	}
-	if c.SameBlock(0x11F, 0x120) {
-		t.Error("0x11F and 0x120 are in different blocks")
 	}
 }
 

@@ -70,9 +70,19 @@ func TestGolden(t *testing.T) {
 // renderDiff points at the first differing line so a drifted counter is
 // identifiable without eyeballing two whole tables.
 func renderDiff(want, got string) string {
+	n, w, g := firstDiff(want, got)
+	if n == 0 {
+		return "(renderings equal?)"
+	}
+	return fmt.Sprintf("line %d:\n  golden: %q\n  got:    %q", n, w, g)
+}
+
+// firstDiff returns the 1-based number of the first line where want and got
+// differ and both versions of that line; n is 0 when they are equal.
+func firstDiff(want, got string) (n int, w, g string) {
 	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
 	for i := 0; i < len(wl) || i < len(gl); i++ {
-		var w, g string
+		w, g = "", ""
 		if i < len(wl) {
 			w = wl[i]
 		}
@@ -80,8 +90,8 @@ func renderDiff(want, got string) string {
 			g = gl[i]
 		}
 		if w != g {
-			return fmt.Sprintf("line %d:\n  golden: %q\n  got:    %q", i+1, w, g)
+			return i + 1, w, g
 		}
 	}
-	return "(renderings equal?)"
+	return 0, "", ""
 }

@@ -41,11 +41,6 @@ type Runner struct {
 	// after every successful simulation.
 	Backing Backing
 
-	// DisableWarmFork turns off the shared warm-state pool, making every
-	// simulation execute its own warm-up. Results are byte-identical
-	// either way; this exists for ablation and as an escape hatch.
-	DisableWarmFork bool
-
 	// Metrics, when set before first use, exports the Runner's counters
 	// and per-stage timings (NewMetrics registers them in an obs.Registry).
 	// Left nil, the Runner lazily builds an unregistered set so Stats()
@@ -64,11 +59,8 @@ type Runner struct {
 	cache map[string]*memoEntry
 }
 
-// pool returns the Runner's warm-state pool, nil when forking is disabled.
+// pool returns the Runner's warm-state pool, building it on first use.
 func (r *Runner) pool() *sim.WarmPool {
-	if r.DisableWarmFork {
-		return nil
-	}
 	r.warmOnce.Do(func() { r.warm = sim.NewWarmPool() })
 	return r.warm
 }
@@ -451,12 +443,8 @@ func (r *Runner) Runs() int { return int(r.met().Runs.Value()) }
 // Stats returns a snapshot of the Runner's counters.
 func (r *Runner) Stats() Stats {
 	m := r.met()
-	var warm sim.WarmStats
-	if p := r.pool(); p != nil {
-		warm = p.Stats()
-	}
 	return Stats{
-		Warm:        warm,
+		Warm:        r.pool().Stats(),
 		Runs:        int(m.Runs.Value()),
 		MemoHits:    int(m.MemoHits.Value()),
 		Coalesced:   int(m.Coalesced.Value()),

@@ -1,86 +1,66 @@
 package exp
 
 import (
-	"bytes"
 	"context"
 	"runtime"
 	"testing"
 
+	"itlbcfr/internal/cache"
+	"itlbcfr/internal/core"
+	"itlbcfr/internal/sim"
 	"itlbcfr/internal/workload"
 )
 
-// renderTech regenerates the technology sweep — the sweep with the highest
-// warm-state sharing (three technology points per (benchmark, scheme) cell)
-// — and returns its rendered bytes plus the Runner, whose memo holds every
-// cell.
-func renderTech(t *testing.T, disableFork bool, workers int) (string, *Runner) {
-	t.Helper()
-	r := NewRunner(20_000, 5_000)
-	r.Workers = workers
-	r.DisableWarmFork = disableFork
-	tb, err := ByID(context.Background(), r, "sweep-tech")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b bytes.Buffer
-	if err := WriteTables(&b, FormatText, []Table{tb}); err != nil {
-		t.Fatal(err)
-	}
-	return b.String(), r
-}
-
 // TestWarmForkSweepByteIdentical is the sweep-level contract of the warm
-// pool: a parallel regeneration with warm-state forking must render byte
-// for byte what a fork-disabled regeneration renders, while executing each
-// distinct warm-up exactly once. The fast-path coverage counters, which
-// the rendering does not show, must agree cell by cell too.
+// pool: a parallel regeneration of the technology sweep — the sweep with the
+// highest warm-state sharing (three technology points per (benchmark,
+// scheme) cell) — must memoize, for every cell, exactly the result the
+// naive reference path sim.Run computes (no pool: its own compile, its own
+// warm-up), host time aside, while executing each distinct warm-up exactly
+// once.
 func TestWarmForkSweepByteIdentical(t *testing.T) {
-	forked, fr := renderTech(t, false, runtime.NumCPU())
-	plain, pr := renderTech(t, true, runtime.NumCPU())
-	fstats, pstats := fr.Stats(), pr.Stats()
-	if forked != plain {
-		t.Fatalf("warm-forked sweep differs from fork-disabled sweep (lengths %d vs %d)",
-			len(forked), len(plain))
+	r := NewRunner(20_000, 5_000)
+	r.Workers = runtime.NumCPU()
+	if _, err := ByID(context.Background(), r, "sweep-tech"); err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range TechSweepSpec().Cells() {
-		f, fok := fr.Cached(c)
-		p, pok := pr.Cached(c)
-		if !fok || !pok {
-			t.Fatalf("%s/%s: cell missing from a memo (forked %v, plain %v)", c.BenchName(), c.Scheme, fok, pok)
+		j := r.Job(c)
+		forked, ok := r.CachedJob(j)
+		if !ok {
+			t.Fatalf("%s/%s: cell missing from the memo", c.BenchName(), c.Scheme)
 		}
-		fc := [2]uint64{f.Timing.BulkCommitted, f.Timing.BulkWrongPath}
-		pc := [2]uint64{p.Timing.BulkCommitted, p.Timing.BulkWrongPath}
-		if fc != pc {
-			t.Errorf("%s/%s: bulk counters (committed, wrong-path) forked %v, plain %v",
-				c.BenchName(), c.Scheme, fc, pc)
+		c.Instructions, c.Warmup = r.Instructions, r.Warmup
+		naive, err := sim.Run(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fc[0] == 0 || fc[1] == 0 {
-			t.Errorf("%s/%s: nothing retired in bulk (%v), so the counters are unchecked",
-				c.BenchName(), c.Scheme, fc)
+		if want, got := ledgerLine(t, j.Key, naive), ledgerLine(t, j.Key, forked); got != want {
+			t.Errorf("forked result differs from sim.Run:\n%s", ledgerDiff(want, got))
+		}
+		if forked.Timing.BulkCommitted == 0 || forked.Timing.BulkWrongPath == 0 {
+			t.Errorf("%s/%s: nothing retired in bulk (%+v), so the counters are unchecked",
+				c.BenchName(), c.Scheme, forked.Timing)
 		}
 	}
 
-	// Fork-disabled: the pool is off entirely.
-	if pstats.Warm.Warmups != 0 || pstats.Warm.Hits != 0 || pstats.Warm.Entries != 0 {
-		t.Errorf("DisableWarmFork still used the pool: %+v", pstats.Warm)
-	}
-
-	// Forked: the Prewarm pass warms each distinct warm key exactly once
-	// before the batch starts, and every executed simulation then forks a
-	// pooled snapshot. The tech sweep runs 6 benchmarks × 2 schemes × 3
-	// technology points = 36 simulations over 12 warm keys.
-	w := fstats.Warm
+	// The Prewarm pass warms each distinct warm key exactly once before the
+	// batch starts, and every executed simulation then forks a pooled
+	// snapshot. The tech sweep runs 6 benchmarks × 2 schemes × 3 technology
+	// points = 36 simulations over 12 warm keys.
+	stats := r.Stats()
+	w := stats.Warm
 	if w.Warmups != uint64(w.Entries) {
 		t.Errorf("warm-ups (%d) != distinct warm states (%d): some key warmed twice",
 			w.Warmups, w.Entries)
 	}
-	if got, want := int(w.Hits), fstats.Runs; got != want {
+	if got, want := int(w.Hits), stats.Runs; got != want {
 		t.Errorf("forks (%d) != executed runs (%d): a prewarmed sweep should fork every run",
 			got, want)
 	}
-	if w.Warmups*3 != uint64(fstats.Runs) {
+	if w.Warmups*3 != uint64(stats.Runs) {
 		t.Errorf("tech sweep should share each warm-up across its 3 technology points: "+
-			"%d warm-ups for %d runs", w.Warmups, fstats.Runs)
+			"%d warm-ups for %d runs", w.Warmups, stats.Runs)
 	}
 }
 
@@ -89,7 +69,7 @@ func TestWarmForkSweepByteIdentical(t *testing.T) {
 // (shared with that benchmark's SoLA VI-PT run), and repeated calls compile
 // nothing more — table entries are created only by a compilation and never
 // evicted, so a constant count means no image was compiled twice. The
-// rendering must match a fork-disabled Runner, which compiles fresh.
+// pooled statistics must match a fresh compile (the nil pool).
 func TestTable4CompilesEachImageOnce(t *testing.T) {
 	r := NewRunner(3_000, 1_000)
 	first := Table4(r).Render()
@@ -105,9 +85,18 @@ func TestTable4CompilesEachImageOnce(t *testing.T) {
 			t.Fatalf("repeat %d: %d images resident, want %d: an image was compiled again", i, got, images)
 		}
 	}
-	plain := NewRunner(3_000, 1_000)
-	plain.DisableWarmFork = true
-	if got := Table4(plain).Render(); got != first {
-		t.Errorf("fork-disabled Table 4 differs:\n%s\nwant:\n%s", got, first)
+	for _, p := range workload.Profiles() {
+		opt := sim.Options{Profile: p, Scheme: core.SoLA, Style: cache.VIPT}
+		pooled, err := r.pool().StaticStats(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := (*sim.WarmPool)(nil).StaticStats(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pooled != fresh {
+			t.Errorf("%s: pooled static statistics %+v, fresh compile %+v", p.Name, pooled, fresh)
+		}
 	}
 }

@@ -124,6 +124,33 @@ func TestSimCoverageCounters(t *testing.T) {
 	}
 }
 
+// TestWarmPoolGauges: one /v1/sim miss warms up once, leaving one warm
+// state and one compiled image, and the itlb_warm_* gauges show it.
+func TestWarmPoolGauges(t *testing.T) {
+	s, _ := testServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	before := scrape(t, ts)
+	if code, b := postSim(t, ts, `{"bench":"mesa","scheme":"IA"}`); code != http.StatusOK {
+		t.Fatalf("sim = %d: %s", code, b)
+	}
+	after := scrape(t, ts)
+	for series, want := range map[string]float64{
+		"itlb_warm_warmups": 1,
+		"itlb_warm_forks":   0,
+		"itlb_warm_entries": 1,
+		"itlb_warm_images":  1,
+	} {
+		if got := after[series] - before[series]; got != want {
+			t.Errorf("a miss moved %s by %g, want %g", series, got, want)
+		}
+	}
+	if after["itlb_warm_bytes"] <= before["itlb_warm_bytes"] {
+		t.Errorf("itlb_warm_bytes did not grow across a miss: %g -> %g",
+			before["itlb_warm_bytes"], after["itlb_warm_bytes"])
+	}
+}
+
 // TestHealthzBuildInfo: /healthz carries the build identity next to the
 // liveness fields.
 func TestHealthzBuildInfo(t *testing.T) {

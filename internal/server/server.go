@@ -149,6 +149,25 @@ func New(cfg Config) *Server {
 		obs.Label{Name: "revision", Value: s.build.Revision})
 	s.reg.GaugeFunc("itlb_uptime_seconds", "seconds since the server was built",
 		func() float64 { return time.Since(s.start).Seconds() })
+	// The warm pool's counters are read at scrape time, so they add no
+	// work to any request.
+	for _, g := range []struct {
+		name, help string
+		val        func(sim.WarmStats) float64
+	}{
+		{"itlb_warm_warmups", "full warm-up phases executed",
+			func(w sim.WarmStats) float64 { return float64(w.Warmups) }},
+		{"itlb_warm_forks", "simulations that forked a pooled warm state",
+			func(w sim.WarmStats) float64 { return float64(w.Hits) }},
+		{"itlb_warm_entries", "distinct warm states resident",
+			func(w sim.WarmStats) float64 { return float64(w.Entries) }},
+		{"itlb_warm_images", "compiled workload images resident",
+			func(w sim.WarmStats) float64 { return float64(w.Images) }},
+		{"itlb_warm_bytes", "approximate resident bytes of the warm states",
+			func(w sim.WarmStats) float64 { return float64(w.Bytes) }},
+	} {
+		s.reg.GaugeFunc(g.name, g.help, func() float64 { return g.val(cfg.Runner.Stats().Warm) })
+	}
 	// Export the Runner's counters/stage timings through the same registry
 	// unless the caller wired its own metric set already.
 	if cfg.Runner.Metrics == nil {
